@@ -70,7 +70,8 @@ run "$BUILD"/bench/pattern_bench
 
 # Multi-client serving percentiles: N concurrent TCP clients pipelining
 # warm same-dataset requests through the epoll front-end, reporting
-# p50/p95/p99 latency, throughput, and the micro-batch hit rate.
+# p50/p95/p99 latency and throughput over OK replies, and the requests
+# rejected at the queue bound.
 run "$BUILD"/bench/serve_throughput --clients "${CFV_BENCH_CLIENTS:-8}" \
   "${CFV_BENCH_CLIENT_REQUESTS:-25}"
 

@@ -1,4 +1,4 @@
-//===- net/Server.cpp - async multi-client serve front-end ----------------===//
+//===- net/Server.cpp - the cfv_serve protocol engine ---------------------===//
 //
 // Part of the cfv project: reproduction of Jiang & Agrawal, CGO 2018.
 //
@@ -8,9 +8,9 @@
 
 #if defined(__linux__)
 
+#include "net/NetIo.h"
 #include "obs/Metrics.h"
 #include "resilience/Fault.h"
-#include "service/NetIo.h"
 #include "service/Protocol.h"
 #include "util/Clock.h"
 
@@ -64,10 +64,7 @@ std::string quickId(const std::string &Line) {
 
 } // namespace
 
-Server::Server(service::Service &S, Config C)
-    : Svc(S), Cfg(C),
-      Batches(Batcher::Config{static_cast<double>(C.BatchWindowUs) / 1e6,
-                              64}) {}
+Server::Server(service::Service &S, Config C) : Svc(S), Cfg(C) {}
 
 Server::~Server() {
   if (Listener >= 0)
@@ -119,6 +116,8 @@ void Server::updateInterest(Conn &C) {
 }
 
 void Server::gateAccept() {
+  if (Listener < 0)
+    return;
   const bool ShouldGate =
       Draining || static_cast<int>(Conns.size()) >= Cfg.MaxConns;
   if (ShouldGate == AcceptGated)
@@ -129,22 +128,43 @@ void Server::gateAccept() {
   Loop.mod(Listener, ShouldGate ? 0u : static_cast<uint32_t>(EPOLLIN));
 }
 
+Server::Conn *Server::addConn(int Fd) {
+  const uint64_t Id = NextConnId++;
+  if (!Loop.add(Fd, EPOLLIN,
+                [this, Id](uint32_t Events) { connReady(Id, Events); }))
+    return nullptr;
+  std::unique_ptr<Conn> &C = Conns[Id];
+  C = std::make_unique<Conn>();
+  C->Id = Id;
+  C->Fd = C->OutFd = Fd;
+  C->LastActivity = monotonicSeconds();
+  return C.get();
+}
+
+Status Server::serveStream(int InFd, int OutFd) {
+  if (!Loop.valid())
+    return Status::error(ErrorCode::IoError, "epoll initialization failed");
+  Conn *C = setNonBlocking(InFd) ? addConn(InFd) : nullptr;
+  if (!C)
+    return Status::error(ErrorCode::IoError,
+                         std::string("serveStream: ") + std::strerror(errno));
+  C->OutFd = OutFd;
+  C->InOrder = true;
+  return Status();
+}
+
 void Server::acceptReady() {
   while (static_cast<int>(Conns.size()) < Cfg.MaxConns) {
     const int Fd = ::accept4(Listener, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (Fd < 0)
       return; // EAGAIN (or transient error): wait for the next event
-    auto C = std::make_unique<Conn>();
-    C->Id = NextConnId++;
-    C->Fd = Fd;
-    C->LastActivity = monotonicSeconds();
-    const uint64_t Id = C->Id;
-    FdToConn[Fd] = Id;
-    Conns[Id] = std::move(C);
+    if (!addConn(Fd)) {
+      ::close(Fd);
+      continue;
+    }
     ++Counters.Accepted;
     netCounter("cfv_net_accepted_total", "Connections accepted").inc();
-    Loop.add(Fd, EPOLLIN, [this, Id](uint32_t Events) { connReady(Id, Events); });
   }
   gateAccept();
 }
@@ -170,15 +190,14 @@ void Server::onReadable(Conn &C) {
   const uint64_t Id = C.Id;
   char Tmp[8192];
   for (;;) {
-    const service::netio::IoResult R =
-        service::netio::readSome(C.Fd, Tmp, sizeof(Tmp));
+    const IoResult R = readSome(C.Fd, Tmp, sizeof(Tmp));
     if (R.Bytes > 0) {
       C.RdBuf.append(Tmp, R.Bytes);
       C.LastActivity = monotonicSeconds();
     }
-    if (R.St == service::netio::IoStatus::WouldBlock)
+    if (R.St == IoStatus::WouldBlock)
       break;
-    if (R.St == service::netio::IoStatus::Gone) {
+    if (R.St == IoStatus::Gone) {
       // EOF or error.  Flush what we have (including a final
       // unterminated line), then either close now or hang on until the
       // admitted requests answer into the half-closed socket.
@@ -269,8 +288,10 @@ void Server::handleLine(Conn &C, const std::string &Line) {
   // Admission control before parsing: when the scheduler would shed,
   // answer from a cheap id scan without paying for a JSON parse.
   // Control verbs stay observable under overload, so anything carrying
-  // a "cmd" key takes the full path.
-  if (Line.find("\"cmd\"") == std::string::npos) {
+  // a "cmd" key takes the full path.  A stream has one client to
+  // protect the loop from, so it keeps the scheduler's own verdicts
+  // ("unavailable" at the queue bound).
+  if (!C.InOrder && Line.find("\"cmd\"") == std::string::npos) {
     int64_t RetryAfterMs = 0;
     if (Svc.wouldShed(&RetryAfterMs)) {
       ServeResponse Resp;
@@ -283,7 +304,7 @@ void Server::handleLine(Conn &C, const std::string &Line) {
       netCounter("cfv_net_shed_preparse_total",
                  "Requests shed by admission control before JSON parsing")
           .inc();
-      sendLine(C, Resp.toJson());
+      answer(C, Resp.toJson());
       return;
     }
   }
@@ -300,10 +321,10 @@ void Server::handleLine(Conn &C, const std::string &Line) {
   case service::LineKind::UnknownCmd:
   case service::LineKind::BadRequest:
     // A bad line is a request-level failure, not a server failure.
-    sendLine(C, service::errorJson(Cl.Id, Cl.Error));
+    answer(C, service::errorJson(Cl.Id, Cl.Error));
     return;
   case service::LineKind::Shutdown:
-    sendLine(C, "{\"ok\":true,\"bye\":true}");
+    answer(C, "{\"ok\":true,\"bye\":true}");
     ShutdownSeen = true;
     beginDrain();
     return;
@@ -318,19 +339,20 @@ void Server::handleLine(Conn &C, const std::string &Line) {
     return;
   case service::LineKind::Request: {
     const uint64_t ConnId = C.Id;
+    const uint64_t Seq = C.OwedBase + C.Owed.size();
+    if (C.InOrder)
+      C.Owed.emplace_back(); // its slot, filled when it completes
     ++C.InFlight;
     ++TotalInFlight;
-    Service::Completion Done = [this, ConnId](ServeResponse Resp) {
-      // Completions fire on scheduler workers (or inline on this
-      // thread); both routes converge on the loop thread.
-      Loop.post([this, ConnId, Resp = std::move(Resp)]() mutable {
-        completeOn(ConnId, std::move(Resp));
+    ++Counters.FlushedBatches;
+    ++Counters.FlushedBatchRequests;
+    // Completions fire on scheduler workers (or inline on this thread,
+    // for a rejection); both routes converge on the loop thread.
+    Svc.submitAsync(Cl.Request, [this, ConnId, Seq](ServeResponse Resp) {
+      Loop.post([this, ConnId, Seq, Resp = std::move(Resp)]() mutable {
+        completeOn(ConnId, Seq, std::move(Resp));
       });
-    };
-    Batches.add(Cl.Request, std::move(Done), monotonicSeconds(),
-                [this](std::vector<Service::BatchItem> Items) {
-                  flushBatch(std::move(Items));
-                });
+    });
     return;
   }
   }
@@ -396,6 +418,13 @@ void Server::handleHttp(Conn &C) {
   sendBytes(C, std::string(Header) + Body);
 }
 
+void Server::answer(Conn &C, const std::string &Json) {
+  if (C.InOrder && !C.Owed.empty())
+    C.Owed.push_back(Json); // ready, but behind a request still running
+  else
+    sendLine(C, Json);
+}
+
 void Server::sendLine(Conn &C, const std::string &Json) {
   sendBytes(C, Json + "\n");
 }
@@ -414,14 +443,14 @@ void Server::sendBytes(Conn &C, const std::string &Bytes) {
 void Server::flushWrites(Conn &C) {
   const uint64_t Id = C.Id;
   while (C.WrOff < C.WrBuf.size()) {
-    const service::netio::IoResult R = service::netio::writeSome(
-        C.Fd, C.WrBuf.data() + C.WrOff, C.WrBuf.size() - C.WrOff);
+    const IoResult R = writeSome(C.OutFd, C.WrBuf.data() + C.WrOff,
+                                 C.WrBuf.size() - C.WrOff);
     C.WrOff += R.Bytes;
-    if (R.St == service::netio::IoStatus::Gone) {
+    if (R.St == IoStatus::Gone) {
       closeConn(Id);
       return;
     }
-    if (R.St == service::netio::IoStatus::WouldBlock)
+    if (R.St == IoStatus::WouldBlock)
       break;
   }
   if (C.WrOff >= C.WrBuf.size()) {
@@ -457,7 +486,6 @@ void Server::closeConn(uint64_t Id) {
   auto It = Conns.find(Id);
   if (It == Conns.end())
     return;
-  FdToConn.erase(It->second->Fd);
   Loop.deferClose(It->second->Fd);
   Conns.erase(It);
   ++Counters.Closed;
@@ -465,7 +493,7 @@ void Server::closeConn(uint64_t Id) {
   gateAccept();
 }
 
-void Server::completeOn(uint64_t ConnId, ServeResponse Resp) {
+void Server::completeOn(uint64_t ConnId, uint64_t Seq, ServeResponse Resp) {
   --TotalInFlight;
   auto It = Conns.find(ConnId);
   if (It == Conns.end()) {
@@ -479,8 +507,21 @@ void Server::completeOn(uint64_t ConnId, ServeResponse Resp) {
   }
   Conn &C = *It->second;
   --C.InFlight;
-  sendLine(C, Resp.toJson());
-  // sendLine may already have closed the conn (write error / fault).
+  std::string Out;
+  if (!C.InOrder) {
+    Out = Resp.toJson() + "\n";
+  } else {
+    // Fill this request's slot, then release every reply now at the
+    // front: the ordered prefix that no longer waits on anything.
+    C.Owed[Seq - C.OwedBase] = Resp.toJson();
+    for (; !C.Owed.empty() && !C.Owed.front().empty(); ++C.OwedBase) {
+      Out += C.Owed.front() + "\n";
+      C.Owed.pop_front();
+    }
+  }
+  if (!Out.empty())
+    sendBytes(C, Out);
+  // sendBytes may already have closed the conn (write error / fault).
   auto It2 = Conns.find(ConnId);
   if (It2 == Conns.end())
     return;
@@ -490,29 +531,14 @@ void Server::completeOn(uint64_t ConnId, ServeResponse Resp) {
     closeConn(ConnId);
 }
 
-void Server::flushBatch(std::vector<Service::BatchItem> Items) {
-  if (Items.empty())
-    return;
-  ++Counters.FlushedBatches;
-  Counters.FlushedBatchRequests += static_cast<int64_t>(Items.size());
-  obs::MetricsRegistry::instance()
-      .histogram("cfv_net_batch_size", obs::log2Bounds(1.0, 8), "",
-                 "Requests per flushed micro-batch group")
-      .observe(static_cast<double>(Items.size()));
-  Svc.submitBatch(std::move(Items));
-}
-
 void Server::beginDrain() {
   if (Draining)
     return;
   Draining = true;
   gateAccept();
-  // Anything still held by the batcher runs now; anything unread in a
-  // connection buffer is abandoned (the client was told "bye" or got
-  // SIGTERM semantics -- replies for admitted work still deliver).
-  Batches.flushAll([this](std::vector<Service::BatchItem> Items) {
-    flushBatch(std::move(Items));
-  });
+  // Anything unread in a connection buffer is abandoned (the client was
+  // told "bye" or got SIGTERM semantics -- replies for admitted work
+  // still deliver).
   std::vector<uint64_t> Idle;
   for (auto &KV : Conns) {
     Conn &C = *KV.second;
@@ -529,16 +555,12 @@ void Server::tick() {
   const double Now = monotonicSeconds();
   if (!Draining && Cfg.ShouldDrain && Cfg.ShouldDrain())
     beginDrain();
-  if (!Draining)
-    Batches.flushReady(Now, [this](std::vector<Service::BatchItem> Items) {
-      flushBatch(std::move(Items));
-    });
   if (Cfg.IdleTimeoutMs > 0 && !Draining) {
     const double Limit = static_cast<double>(Cfg.IdleTimeoutMs) / 1000.0;
     std::vector<uint64_t> Stale;
     for (auto &KV : Conns) {
-      Conn &C = *KV.second;
-      if (C.InFlight == 0 && C.WrOff >= C.WrBuf.size() &&
+      Conn &C = *KV.second; // a stream waits for its EOF, however quiet
+      if (!C.InOrder && C.InFlight == 0 && C.WrOff >= C.WrBuf.size() &&
           Now - C.LastActivity > Limit)
         Stale.push_back(KV.first);
     }
@@ -553,31 +575,24 @@ void Server::tick() {
 }
 
 int Server::run() {
-  Loop.add(Listener, EPOLLIN, [this](uint32_t) { acceptReady(); });
+  if (Listener >= 0)
+    Loop.add(Listener, EPOLLIN, [this](uint32_t) { acceptReady(); });
   obs::MetricsRegistry::instance().gauge(
       "cfv_net_conns_open",
       [this] { return static_cast<double>(Conns.size()); }, "",
       "Currently open client connections");
 
-  // The tick doubles as the batch-window clock: with batches pending the
-  // loop wakes every millisecond to flush expired windows; otherwise a
-  // coarse tick only serves the drain flag and idle timeouts.
-  const int TickMs = Cfg.BatchWindowUs > 0 ? 1 : 100;
-  Loop.run(TickMs, [this] { tick(); },
+  // The coarse tick only serves the drain flag and idle timeouts.
+  Loop.run(100, [this] { tick(); },
            [this] {
-             return Draining && TotalInFlight == 0 &&
-                    Batches.pending() == 0 && Conns.empty();
+             return (Draining || Listener < 0) && TotalInFlight == 0 &&
+                    Conns.empty();
            });
 
   obs::MetricsRegistry::instance().removeGauge("cfv_net_conns_open");
   return 0;
 }
 
-Server::Stats Server::stats() const {
-  Stats S = Counters;
-  S.FlushedBatches = Batches.flushedBatches();
-  S.FlushedBatchRequests = Batches.flushedRequests();
-  return S;
-}
+Server::Stats Server::stats() const { return Counters; }
 
 #endif // __linux__

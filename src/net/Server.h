@@ -1,27 +1,26 @@
-//===- net/Server.h - async multi-client serve front-end --------*- C++ -*-===//
+//===- net/Server.h - the cfv_serve protocol engine -------------*- C++ -*-===//
 //
 // Part of the cfv project: reproduction of Jiang & Agrawal, CGO 2018.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The event-loop network front-end of cfv_serve --port: many concurrent
-/// NDJSON clients over one epoll loop (net::EventLoop), replacing the
-/// old one-client-at-a-time accept loop.  Per connection it runs the
-/// same protocol the stdin session speaks (service::classifyLine), plus:
+/// The one protocol engine of cfv_serve: NDJSON clients over one epoll
+/// loop (net::EventLoop), framed by service::classifyLine.  Its
+/// connections come from a TCP listener (--port, many concurrent
+/// clients) or from serveStream (stdin/stdout).  Per connection:
 ///
-///  - Pipelining with out-of-order delivery: every request line is
-///    admitted immediately and its response line is written when it
+///  - Pipelining: every request line goes straight to
+///    Service::submitAsync.  A TCP connection gets each reply when it
 ///    completes, identified by the echoed "id" -- a slow request never
-///    blocks the fast one behind it on the same connection.
-///  - Same-dataset micro-batching (net::Batcher): request lines arriving
-///    within CFV_BATCH_WINDOW_US that resolve to one dataset identity
-///    ride a single scheduler admission and a single cache lookup
-///    (Service::submitBatch); replies fan back out per request.
-///  - Admission control before parsing: when the scheduler's overload
-///    watermarks (queue depth, latency EWMA -- see RequestScheduler)
-///    would shed, a request line is answered {"error":"overloaded",
-///    "retry_after_ms":...} from a cheap id scan without JSON parsing.
+///    blocks the fast one behind it.  A stream connection gets replies
+///    in submission order; its introspection verbs (stats, metrics,
+///    backends) and HTTP answers still go out at once.
+///  - Admission control before parsing on TCP: when the scheduler's
+///    overload watermarks (queue depth, latency EWMA -- see
+///    RequestScheduler) would shed, a request line is answered
+///    {"error":"overloaded","retry_after_ms":...} from a cheap id scan
+///    without JSON parsing.
 ///    Control verbs ({"cmd":...}) and HTTP lines are exempt: operators
 ///    must be able to observe an overloaded server.
 ///  - Connection limits (CFV_MAX_CONNS) enforced by accept gating: at
@@ -29,14 +28,13 @@
 ///    clients queue in the (CFV_LISTEN_BACKLOG-deep) accept queue
 ///    instead of being churned through accept+close.
 ///  - Write backpressure: responses buffer per connection, flush as far
-///    as the socket allows (netio::writeSome), and EPOLLOUT continues
+///    as the socket allows (net::writeSome), and EPOLLOUT continues
 ///    partial writes; past a buffer cap the connection's read interest
 ///    is shed until the client drains what it owes.
-///  - Idle timeouts (CFV_IDLE_TIMEOUT_MS), the serve.conn_drop fault
-///    point on the write path, and SIGTERM graceful drain: stop
-///    accepting, stop reading, flush held batches, answer everything in
-///    flight, then close.
-///  - A minimal real HTTP/1.1 GET surface on the same port: /metrics
+///  - Idle timeouts for TCP (CFV_IDLE_TIMEOUT_MS), the serve.conn_drop
+///    fault point on the write path, and SIGTERM graceful drain: stop
+///    accepting, stop reading, answer everything in flight, then close.
+///  - A minimal real HTTP/1.1 GET surface on every connection: /metrics
 ///    (Prometheus text exposition) and /healthz, keep-alive honored, so
 ///    `curl http://127.0.0.1:<port>/metrics` scrapes a serving process.
 ///
@@ -49,12 +47,12 @@
 #ifndef CFV_NET_SERVER_H
 #define CFV_NET_SERVER_H
 
-#include "net/Batcher.h"
 #include "net/EventLoop.h"
 #include "service/Service.h"
 #include "util/Env.h"
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -78,10 +76,6 @@ public:
     /// Concurrent-connection cap (accept gating past it).
     int MaxConns = static_cast<int>(env::intVar("CFV_MAX_CONNS", 256, 1,
                                                 1 << 20));
-    /// Micro-batch window in microseconds; 0 still coalesces requests
-    /// landing in the same loop iteration (see net::Batcher).
-    int64_t BatchWindowUs = env::intVar("CFV_BATCH_WINDOW_US", 0, 0,
-                                        10 * 1000 * 1000);
     /// Close connections idle (no bytes, nothing in flight) longer than
     /// this; 0 disables.
     int64_t IdleTimeoutMs = env::intVar("CFV_IDLE_TIMEOUT_MS", 0, 0,
@@ -100,7 +94,16 @@ public:
   Status listen();
   int boundPort() const { return BoundPort; }
 
-  /// Serves until a shutdown verb or ShouldDrain, then drains: admitted
+  /// Serves one already-open byte stream as an in-order connection:
+  /// requests are read from \p InFd (pollable; made non-blocking and
+  /// closed with the connection), replies are written to \p OutFd (used
+  /// as the caller set it up and never closed) in submission order.
+  /// cfv_serve serves stdin/stdout this way.  Without a listener, run()
+  /// returns once the stream has closed and its requests have finished.
+  Status serveStream(int InFd, int OutFd);
+
+  /// Serves until a shutdown verb, ShouldDrain, or (without a listener)
+  /// the close of the last connection, then drains: admitted
   /// work answers, buffers flush, connections close.  Returns 0 on a
   /// clean exit.
   int run();
@@ -112,6 +115,9 @@ public:
     int64_t PreparseShed = 0;
     int64_t HttpRequests = 0;
     int64_t RepliesDropped = 0; ///< completions whose connection vanished
+    /// Requests submitted to the Service, each counted once in both
+    /// fields: the mean "batch" size FlushedBatchRequests /
+    /// FlushedBatches is 1 by construction (perfbench reports it).
     int64_t FlushedBatches = 0;
     int64_t FlushedBatchRequests = 0;
   };
@@ -123,7 +129,14 @@ public:
 private:
   struct Conn {
     uint64_t Id = 0;
-    int Fd = -1;
+    int Fd = -1;    ///< polled for requests; closed with the connection
+    int OutFd = -1; ///< replies go here: Fd, or a stream's output fd
+    bool InOrder = false; ///< a serveStream: replies in submission order
+    /// InOrder replies from the oldest unanswered request on; "" marks a
+    /// request still running.  Owed.front() is that request whenever
+    /// Owed is non-empty.
+    std::deque<std::string> Owed;
+    uint64_t OwedBase = 0; ///< submission number of Owed.front()
     std::string RdBuf;
     std::string WrBuf;
     std::size_t WrOff = 0; ///< flushed prefix of WrBuf
@@ -137,6 +150,8 @@ private:
     bool HttpClose = false;  ///< Connection: close (or HTTP/1.0) seen
   };
 
+  /// Registers \p Fd for reading; null (errno set) when epoll refuses it.
+  Conn *addConn(int Fd);
   void acceptReady();
   void connReady(uint64_t Id, uint32_t Events);
   void onReadable(Conn &C);
@@ -146,13 +161,13 @@ private:
   void consumeLines(Conn &C, bool Eof);
   void handleLine(Conn &C, const std::string &Line);
   void handleHttp(Conn &C);
+  void answer(Conn &C, const std::string &Json);
   void sendLine(Conn &C, const std::string &Json);
   void sendBytes(Conn &C, const std::string &Bytes);
   void flushWrites(Conn &C);
   void updateInterest(Conn &C);
   void closeConn(uint64_t Id);
-  void completeOn(uint64_t ConnId, service::ServeResponse Resp);
-  void flushBatch(std::vector<service::Service::BatchItem> Items);
+  void completeOn(uint64_t ConnId, uint64_t Seq, service::ServeResponse Resp);
   void beginDrain();
   void tick();
   void gateAccept();
@@ -161,7 +176,6 @@ private:
   service::Service &Svc;
   const Config Cfg;
   EventLoop Loop;
-  Batcher Batches;
 
   int Listener = -1;
   int BoundPort = 0;
@@ -171,7 +185,6 @@ private:
 
   uint64_t NextConnId = 1;
   std::map<uint64_t, std::unique_ptr<Conn>> Conns;
-  std::map<int, uint64_t> FdToConn;
   int TotalInFlight = 0;
 
   Stats Counters;

@@ -1,8 +1,8 @@
 //===-- service/Protocol.h - NDJSON line classification ---------*- C++ -*-===//
 //
 // The cfv_serve wire protocol, factored out of the tool so the line
-// classification logic is a library function: cfv_serve's Session drives
-// it for real traffic and the verification harness's protocol fuzzer
+// classification logic is a library function: net::Server drives it for
+// real traffic and the verification harness's protocol fuzzer
 // (verify/ServeFuzz) drives it with adversarial bytes -- both exercise the
 // exact code that faces the network.
 //
@@ -53,9 +53,8 @@ ClassifiedLine classifyLine(const std::string &Line);
 // Shared verb renderers
 //
 // The response bodies for the introspection verbs and the error channel,
-// shared by every front-end (the stdin Session in tools/cfv_serve.cpp and
-// the multi-client event-loop server in src/net/) so the wire schema
-// cannot drift between them.
+// rendered by net::Server for both cfv_serve transports (stdin and
+// --port), so the wire schema cannot drift between them.
 //===----------------------------------------------------------------------===//
 
 /// {"cmd":"stats"}: cache + scheduler counters plus the merged metrics

@@ -216,108 +216,8 @@ DatasetKey Service::datasetKeyFor(const ServeRequest &R) {
   return Key;
 }
 
-void Service::submitBatch(std::vector<BatchItem> Items) {
-  if (Items.empty())
-    return;
-  if (Items.size() == 1) {
-    submitAsync(std::move(Items[0].Req), std::move(Items[0].Done));
-    return;
-  }
-
-  // Per-item exactly-once guards: the batch task, the watchdog, and the
-  // admission-rejection path race per item, never per batch.
-  struct Shared {
-    std::vector<BatchItem> Items;
-    std::vector<std::atomic<bool>> Fired;
-    std::atomic<bool> Cancel{false};
-    explicit Shared(std::vector<BatchItem> I)
-        : Items(std::move(I)), Fired(Items.size()) {}
-  };
-  auto S = std::make_shared<Shared>(std::move(Items));
-
-  auto failAll = [S](const Status &Err, int64_t RetryAfterMs) {
-    for (size_t I = 0; I < S->Items.size(); ++I) {
-      if (S->Fired[I].exchange(true))
-        continue;
-      ServeResponse Resp;
-      Resp.Ok = false;
-      Resp.Id = S->Items[I].Req.Id;
-      Resp.App = S->Items[I].Req.App;
-      Resp.Error = Err;
-      Resp.RetryAfterMs = RetryAfterMs;
-      S->Items[I].Done(std::move(Resp));
-    }
-  };
-
-  // The batch rides one fairness slot under the first member's app key;
-  // the in-queue deadline is the tightest member timeout (per-member
-  // expiry is still enforced inside execute via TimeoutMs).
-  double MinTimeoutMs = 0.0;
-  for (const BatchItem &I : S->Items)
-    if (I.Req.TimeoutMs > 0.0 &&
-        (MinTimeoutMs == 0.0 || I.Req.TimeoutMs < MinTimeoutMs))
-      MinTimeoutMs = I.Req.TimeoutMs;
-
-  int64_t RetryAfterMs = 0;
-  RequestScheduler::SubmitExtras Extras;
-  Extras.RetryAfterMs = &RetryAfterMs;
-  Extras.OnStall = [S, failAll] {
-    S->Cancel.store(true, std::memory_order_relaxed);
-    failAll(Status::error(
-                ErrorCode::Unavailable,
-                "watchdog: worker stalled past its budget; request abandoned"),
-            0);
-  };
-
-  const Status Admit = Sched.submit(
-      S->Items.front().Req.App, MinTimeoutMs > 0.0 ? MinTimeoutMs / 1000.0 : 0.0,
-      [this, S](const TaskInfo &Info) {
-        // One cache round trip feeds the whole batch: the first member
-        // resolves the shared PreparedGraph (charging any load to
-        // itself), and the rest execute as pure cache hits against it.
-        const DatasetKey Key = datasetKeyFor(S->Items.front().Req);
-        Expected<CacheLookup> Looked = Cache.get(Key);
-        if (obs::enabled()) {
-          obs::MetricsRegistry::instance()
-              .counter("cfv_net_batches_total", "",
-                       "Same-dataset micro-batches executed")
-              .inc();
-          obs::MetricsRegistry::instance()
-              .counter("cfv_net_batch_requests_total", "",
-                       "Requests served inside a micro-batch of size >= 2")
-              .inc(static_cast<int64_t>(S->Items.size()));
-        }
-        for (size_t I = 0; I < S->Items.size(); ++I) {
-          const ServeRequest &Req = S->Items[I].Req;
-          ServeResponse Resp;
-          if (!Looked.ok()) {
-            Resp.Id = Req.Id;
-            Resp.App = Req.App;
-            Resp.QueueSeconds = Info.QueueSeconds;
-            Resp.Ok = false;
-            Resp.Error = Looked.status();
-          } else {
-            CacheLookup Shared = *Looked;
-            if (I > 0) {
-              // Members after the first see the entry the batch already
-              // resolved: a hit with zero incremental load time.
-              Shared.Hit = true;
-              Shared.LoadSeconds = 0.0;
-            }
-            Resp = execute(Req, Info, &S->Cancel, &Shared);
-          }
-          if (!S->Fired[I].exchange(true))
-            S->Items[I].Done(std::move(Resp));
-        }
-      },
-      Extras);
-  if (!Admit.ok())
-    failAll(Admit, RetryAfterMs);
-}
-
 ServeResponse Service::execute(const ServeRequest &R, const TaskInfo &Info,
-                               const std::atomic<bool> *Cancel,
-                               const CacheLookup *Shared) {
+                               const std::atomic<bool> *Cancel) {
   // The queue span is retroactive -- the wait already happened by the
   // time the task runs -- and uses the exact QueueSeconds the response
   // reports.
@@ -326,7 +226,7 @@ ServeResponse Service::execute(const ServeRequest &R, const TaskInfo &Info,
                                    Info.QueueSeconds);
   obs::Span ExecSpan("service:execute", "service");
   WallTimer T;
-  ServeResponse Resp = executeInner(R, Info, Cancel, Shared);
+  ServeResponse Resp = executeInner(R, Info, Cancel);
   if (obs::enabled()) {
     obs::MetricsRegistry &M = obs::MetricsRegistry::instance();
     const std::string App = labelValue(Resp.App);
@@ -347,8 +247,7 @@ ServeResponse Service::execute(const ServeRequest &R, const TaskInfo &Info,
 
 ServeResponse Service::executeInner(const ServeRequest &R,
                                     const TaskInfo &Info,
-                                    const std::atomic<bool> *Cancel,
-                                    const CacheLookup *Shared) {
+                                    const std::atomic<bool> *Cancel) {
   ServeResponse Resp;
   Resp.Id = R.Id;
   Resp.App = R.App;
@@ -380,11 +279,7 @@ ServeResponse Service::executeInner(const ServeRequest &R,
   if (!Version.ok())
     return fail(Version.status());
 
-  // A batch member arrives with its lookup already resolved; everyone
-  // else pays their own cache round trip.
-  Expected<CacheLookup> Looked =
-      Shared ? Expected<CacheLookup>(*Shared)
-             : Cache.get(datasetKeyFor(R));
+  const Expected<CacheLookup> Looked = Cache.get(datasetKeyFor(R));
   if (!Looked.ok())
     return fail(Looked.status());
   Resp.CacheHit = Looked->Hit;

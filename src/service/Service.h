@@ -15,9 +15,9 @@
 /// needs to reason about latency: queue wait, dataset load time, cache
 /// hit, kernel time, SIMD utilization.
 ///
-/// Service speaks structs; tools/cfv_serve.cpp wraps it in the NDJSON
-/// protocol (parseRequest / ServeResponse::toJson below define that
-/// mapping, shared with the tests).
+/// Service speaks structs; net::Server wraps it in the NDJSON protocol
+/// (parseRequest / ServeResponse::toJson below define that mapping,
+/// shared with the tests).
 ///
 /// Scope: the serving layer covers the graph-consuming applications
 /// (pagerank, pagerank64, sssp, sswp, wcc, bfs, rbk, spmv) -- the ones
@@ -137,24 +137,9 @@ public:
   using Completion = std::function<void(ServeResponse)>;
   void submitAsync(ServeRequest R, Completion Done);
 
-  /// One member of a same-dataset micro-batch.
-  struct BatchItem {
-    ServeRequest Req;
-    Completion Done;
-  };
-
-  /// Admits \p Items -- which MUST all resolve to one datasetKeyFor()
-  /// identity -- as a single scheduler task: one admission decision, one
-  /// cache lookup, then every item executes against the shared
-  /// PreparedGraph and its completion fires individually.  A rejection
-  /// (queue full / shed / draining) rejects the whole batch, each item
-  /// receiving the structured error.  An empty vector is a no-op.
-  void submitBatch(std::vector<BatchItem> Items);
-
   /// The cache identity \p R resolves to (weightedness folded in from
-  /// the app), i.e. the micro-batching coalescing key.  Requests whose
-  /// app fails to parse group by the raw fields; they never reach the
-  /// cache anyway.
+  /// the app).  Requests whose app fails to parse key by the raw fields;
+  /// they never reach the cache anyway.
   static DatasetKey datasetKeyFor(const ServeRequest &R);
 
   /// True when admission control would refuse a request arriving now
@@ -180,14 +165,10 @@ private:
   /// measurements, so the NDJSON schema and traces cannot drift.
   /// \p Cancel (may be null) is raised by the watchdog after it has
   /// already answered the caller; the run stops cooperatively.
-  /// \p Shared (may be null) is a batch's pre-resolved cache lookup; the
-  /// request then skips its own DatasetCache round trip.
   ServeResponse execute(const ServeRequest &R, const TaskInfo &Info,
-                        const std::atomic<bool> *Cancel,
-                        const CacheLookup *Shared = nullptr);
+                        const std::atomic<bool> *Cancel);
   ServeResponse executeInner(const ServeRequest &R, const TaskInfo &Info,
-                             const std::atomic<bool> *Cancel,
-                             const CacheLookup *Shared);
+                             const std::atomic<bool> *Cancel);
 
   DatasetCache Cache;
   RequestScheduler Sched;

@@ -8,10 +8,11 @@
 // by CMake) end to end over the NDJSON protocol: warm-vs-cold caching
 // (cache_hit flag, exactly-zero load time on the second request),
 // malformed input answered with a structured error while the server
-// keeps serving, queue-full backpressure under --queue-depth 1, and the
-// observability verbs -- stats answered immediately while a cold load
-// is still in flight (the scrape-mid-load contract), the embedded
-// metrics registry, and the Prometheus metrics verb.
+// keeps serving, replies in submission order, queue-full backpressure
+// under --queue-depth 1, and the observability verbs -- stats answered
+// immediately while a cold load is still in flight (the scrape-mid-load
+// contract), the embedded metrics registry, and the Prometheus metrics
+// verb.
 //
 // Two drivers: runServe() pipes a whole request file through a server
 // (fine when response order doesn't matter), InteractiveServe keeps
@@ -217,6 +218,29 @@ TEST(CfvServeE2e, MalformedLineAnswersErrorAndKeepsServing) {
   // The server survived both and answered the valid request.
   EXPECT_TRUE(contains(R.Lines[2], "\"id\":\"after\"")) << R.Lines[2];
   EXPECT_TRUE(contains(R.Lines[2], "\"ok\":true")) << R.Lines[2];
+}
+
+TEST(CfvServeE2e, RepliesStayInSubmissionOrder) {
+  // Two workers let the light request on another dataset finish long
+  // before the cold one ahead of it, and the malformed line is answered
+  // without running at all -- yet stdin replies leave in submission
+  // order (only TCP connections get them as they complete).
+  std::ostringstream In;
+  In << "{\"app\":\"pagerank\",\"dataset\":\"higgs-twitter-sim\","
+        "\"scale\":0.4,\"iters\":2,\"id\":\"cold\"}\n";
+  In << "{\"app\":\"wcc\",\"dataset\":\"amazon0312-sim\","
+        "\"scale\":0.05,\"id\":\"light\"}\n";
+  In << "this is not json\n";
+  const ServeRun R = runServe(In.str(), "--workers 2");
+
+  ASSERT_EQ(R.ExitCode, 0);
+  ASSERT_EQ(R.Lines.size(), 3u);
+  EXPECT_TRUE(contains(R.Lines[0], "\"id\":\"cold\"")) << R.Lines[0];
+  EXPECT_TRUE(contains(R.Lines[0], "\"ok\":true")) << R.Lines[0];
+  EXPECT_TRUE(contains(R.Lines[1], "\"id\":\"light\"")) << R.Lines[1];
+  EXPECT_TRUE(contains(R.Lines[1], "\"ok\":true")) << R.Lines[1];
+  EXPECT_TRUE(contains(R.Lines[2], "\"error\":\"parse_error\""))
+      << R.Lines[2];
 }
 
 TEST(CfvServeE2e, StatsReportsCacheCounters) {

@@ -1,6 +1,6 @@
 //===-- tests/net_io_test.cpp - non-blocking socket I/O helpers -----------===//
 //
-// service/NetIo.h under real socketpairs: partial writes with a shrunken
+// net/NetIo.h under real socketpairs: partial writes with a shrunken
 // send buffer, EAGAIN round trips on non-blocking fds, EINTR survival,
 // and the Gone classification for closed peers.  These are the exact
 // paths the event-loop server (src/net/) leans on for write
@@ -8,7 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "service/NetIo.h"
+#include "net/NetIo.h"
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,7 @@
 #include <unistd.h>
 #include <vector>
 
-using namespace cfv::service::netio;
+using namespace cfv::net;
 
 namespace {
 

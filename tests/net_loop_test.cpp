@@ -1,15 +1,13 @@
-//===-- tests/net_loop_test.cpp - EventLoop + Batcher unit tests ----------===//
+//===-- tests/net_loop_test.cpp - EventLoop unit tests --------------------===//
 //
-// The two single-threaded building blocks of the network front-end:
-// the epoll readiness loop (callback dispatch, cross-thread post,
-// deferred close, tick/exit plumbing) and the same-dataset micro-batch
-// accumulator (grouping, window expiry, MaxBatch force-flush, drain).
+// The single-threaded building block of the network front-end: the epoll
+// readiness loop (callback dispatch, cross-thread post, deferred close,
+// tick/exit plumbing).
 //
 //===----------------------------------------------------------------------===//
 
 #if defined(__linux__)
 
-#include "net/Batcher.h"
 #include "net/EventLoop.h"
 
 #include <gtest/gtest.h>
@@ -137,114 +135,6 @@ TEST(EventLoopTest, ModChangesInterest) {
   Loop.run(
       /*TickMs=*/1000, nullptr, [&] { return Fired >= 1; });
   EXPECT_EQ(1, Fired);
-}
-
-// -- Batcher ----------------------------------------------------------------
-
-service::ServeRequest makeReq(const std::string &Dataset,
-                              const std::string &Id) {
-  service::ServeRequest R;
-  R.App = "pagerank";
-  R.Dataset = Dataset;
-  R.Id = Id;
-  return R;
-}
-
-TEST(BatcherTest, GroupsByDatasetAndFlushesOnWindow) {
-  Batcher::Config C;
-  C.WindowSeconds = 10.0; // never expires inside this test
-  Batcher B(C);
-  std::vector<std::vector<service::Service::BatchItem>> Flushed;
-  const Batcher::Sink Sink =
-      [&](std::vector<service::Service::BatchItem> Items) {
-        Flushed.push_back(std::move(Items));
-      };
-
-  B.add(makeReq("graph-a", "1"), nullptr, /*Now=*/0.0, Sink);
-  B.add(makeReq("graph-b", "2"), nullptr, /*Now=*/0.1, Sink);
-  B.add(makeReq("graph-a", "3"), nullptr, /*Now=*/0.2, Sink);
-  EXPECT_EQ(3u, B.pending());
-  EXPECT_TRUE(Flushed.empty());
-  EXPECT_DOUBLE_EQ(10.0, B.nextDeadline()); // earliest group's deadline
-
-  // Not expired yet.
-  B.flushReady(/*Now=*/5.0, Sink);
-  EXPECT_TRUE(Flushed.empty());
-
-  // graph-a's window (opened at 0.0) expires first; graph-b (0.1+10)
-  // follows at 10.1.
-  B.flushReady(/*Now=*/10.05, Sink);
-  ASSERT_EQ(1u, Flushed.size());
-  EXPECT_EQ(2u, Flushed[0].size());
-  EXPECT_EQ("1", Flushed[0][0].Req.Id);
-  EXPECT_EQ("3", Flushed[0][1].Req.Id);
-  EXPECT_EQ(1u, B.pending());
-
-  B.flushReady(/*Now=*/10.2, Sink);
-  ASSERT_EQ(2u, Flushed.size());
-  EXPECT_EQ("2", Flushed[1][0].Req.Id);
-  EXPECT_EQ(0u, B.pending());
-  EXPECT_DOUBLE_EQ(0.0, B.nextDeadline());
-  EXPECT_EQ(2, B.flushedBatches());
-  EXPECT_EQ(3, B.flushedRequests());
-}
-
-TEST(BatcherTest, MaxBatchForcesImmediateFlush) {
-  Batcher::Config C;
-  C.WindowSeconds = 100.0;
-  C.MaxBatch = 4;
-  Batcher B(C);
-  int Batches = 0;
-  std::size_t LastSize = 0;
-  const Batcher::Sink Sink =
-      [&](std::vector<service::Service::BatchItem> Items) {
-        ++Batches;
-        LastSize = Items.size();
-      };
-  for (int I = 0; I < 4; ++I)
-    B.add(makeReq("graph-a", std::to_string(I)), nullptr, 0.0, Sink);
-  EXPECT_EQ(1, Batches);
-  EXPECT_EQ(4u, LastSize);
-  EXPECT_EQ(0u, B.pending());
-}
-
-TEST(BatcherTest, FlushAllDrainsEverything) {
-  Batcher::Config C;
-  C.WindowSeconds = 100.0;
-  Batcher B(C);
-  int Requests = 0;
-  const Batcher::Sink Sink =
-      [&](std::vector<service::Service::BatchItem> Items) {
-        Requests += static_cast<int>(Items.size());
-      };
-  B.add(makeReq("graph-a", "1"), nullptr, 0.0, Sink);
-  B.add(makeReq("graph-b", "2"), nullptr, 0.0, Sink);
-  B.add(makeReq("graph-a", "3"), nullptr, 0.0, Sink);
-  B.flushAll(Sink);
-  EXPECT_EQ(3, Requests);
-  EXPECT_EQ(0u, B.pending());
-}
-
-TEST(BatcherTest, DistinctScaleOrSeedDoesNotCoalesce) {
-  // Same dataset name but different scale resolves to a different
-  // DatasetKey -- batching must respect the full cache identity, or a
-  // batch would run against the wrong PreparedGraph.
-  Batcher::Config C;
-  C.WindowSeconds = 100.0;
-  Batcher B(C);
-  int Batches = 0;
-  const Batcher::Sink Sink =
-      [&](std::vector<service::Service::BatchItem> Items) {
-        ++Batches;
-        EXPECT_EQ(1u, Items.size());
-      };
-  service::ServeRequest R1 = makeReq("graph-a", "1");
-  service::ServeRequest R2 = makeReq("graph-a", "2");
-  R2.Scale = 2.0;
-  B.add(std::move(R1), nullptr, 0.0, Sink);
-  B.add(std::move(R2), nullptr, 0.0, Sink);
-  B.flushAll(Sink);
-  EXPECT_EQ(2, Batches);
 }
 
 } // namespace

@@ -5,11 +5,13 @@
 //===----------------------------------------------------------------------===//
 //
 // A long-lived front-end over the serving layer (src/service/): reads one
-// JSON request per line from stdin (or a TCP client with --port), answers
-// one JSON response per line on stdout, in submission order.  Datasets
-// and their inspector schedules are cached across requests, so repeated
-// requests against one dataset skip both the load and the inspector --
-// the cross-request amortization argument of the serving layer.
+// JSON request per line from stdin and answers one JSON response per line
+// on stdout, in submission order -- or, with --port, serves many TCP
+// clients, each answered as its requests complete.  Both transports run
+// on the same protocol engine, net::Server.  Datasets and their inspector
+// schedules are cached across requests, so repeated requests against one
+// dataset skip both the load and the inspector -- the cross-request
+// amortization argument of the serving layer.  Linux-only (epoll).
 //
 //   $ echo '{"app":"pagerank","dataset":"higgs-twitter-sim"}' | cfv_serve
 //   {"ok":true,"app":"pagerank","version":"tiling_and_invec",...}
@@ -24,8 +26,8 @@
 //   {"cmd":"metrics"}             -> Prometheus text exposition, JSON-
 //                                    wrapped in {"prometheus":"..."}
 //   {"cmd":"shutdown"}            -> drains and exits 0
-//   GET <path> ...                -> raw HTTP/1.0 Prometheus scrape on
-//                                    the same port (answers and closes)
+//   GET /metrics, GET /healthz    -> HTTP/1.1 answers (keep-alive), on
+//                                    stdin as on --port
 //   malformed line                -> structured parse_error response;
 //                                    the server keeps serving
 //
@@ -35,38 +37,30 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "net/NetIo.h"
 #include "net/Server.h"
 #include "obs/Metrics.h"
 #include "resilience/Fault.h"
-#include "service/NetIo.h"
-#include "service/Protocol.h"
 #include "service/Service.h"
 #include "util/Env.h"
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
-#include <future>
-#include <string>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define CFV_SERVE_HAVE_TCP 1
-#include <csignal>
+#include <fcntl.h>
 #include <poll.h>
+#include <string>
+#include <sys/socket.h>
+#include <thread>
 #include <unistd.h>
-#else
-#define CFV_SERVE_HAVE_TCP 0
-#endif
 
 using namespace cfv;
 
 namespace {
 
-#if CFV_SERVE_HAVE_TCP
 /// SIGTERM/SIGINT request a graceful drain: stop admitting, finish (or
 /// structured-fail) everything in flight, flush metrics, exit 0.
 std::atomic<bool> DrainRequested{false};
@@ -74,21 +68,17 @@ std::atomic<bool> DrainRequested{false};
 void onDrainSignal(int) { DrainRequested.store(true); }
 
 void installSignalHandlers() {
-  service::netio::ignoreSigpipe(); // client disconnects are EPIPE, not death
+  net::ignoreSigpipe(); // client disconnects are EPIPE, not death
   struct sigaction SA;
   std::memset(&SA, 0, sizeof(SA));
   SA.sa_handler = onDrainSignal;
   sigemptyset(&SA.sa_mask);
-  SA.sa_flags = 0; // deliberately no SA_RESTART: poll/accept must EINTR
+  SA.sa_flags = 0; // deliberately no SA_RESTART: epoll_wait must EINTR
   ::sigaction(SIGTERM, &SA, nullptr);
   ::sigaction(SIGINT, &SA, nullptr);
 }
 
 bool drainRequested() { return DrainRequested.load(); }
-#else
-void installSignalHandlers() {}
-bool drainRequested() { return false; }
-#endif
 
 [[noreturn]] void usage(int Code) {
   std::fprintf(
@@ -109,8 +99,9 @@ bool drainRequested() { return false; }
       "                       (default $CFV_CACHE_BYTES, else 256 MiB;\n"
       "                       0 = unlimited)\n"
       "  --port <p>           serve many concurrent TCP clients on port p\n"
-      "                       (epoll event loop; 0 = ephemeral port,\n"
-      "                       printed to stderr; Linux only)\n"
+      "                       instead of stdin/stdout, each answered as\n"
+      "                       its requests complete (0 = ephemeral port,\n"
+      "                       printed to stderr)\n"
       "  --shed-queue-pct <n> shed with {\"error\":\"overloaded\"} once the\n"
       "                       queue passes n%% of --queue-depth (default\n"
       "                       $CFV_SHED_QUEUE_PCT, else 100 = off)\n"
@@ -140,12 +131,12 @@ bool drainRequested() { return false; }
       "  {\"cmd\":\"metrics\"}   Prometheus text, JSON-wrapped\n"
       "  {\"cmd\":\"backends\"}  compiled/available SIMD tiers + selection\n"
       "  {\"cmd\":\"shutdown\"}  drain and exit\n"
-      "  GET /metrics ...     HTTP/1.1 Prometheus scrape (with --port;\n"
-      "                       /healthz also answers)\n"
+      "  GET /metrics ...     HTTP/1.1 Prometheus scrape; /healthz also\n"
+      "                       answers (stdin and --port alike)\n"
       "\n"
       "environment: CFV_BACKEND, CFV_THREADS, CFV_VALIDATE, CFV_SCALE,\n"
-      "             CFV_CACHE_BYTES, CFV_MAX_CONNS, CFV_BATCH_WINDOW_US,\n"
-      "             CFV_LISTEN_BACKLOG, CFV_IDLE_TIMEOUT_MS (see README)\n");
+      "             CFV_CACHE_BYTES, CFV_MAX_CONNS, CFV_LISTEN_BACKLOG,\n"
+      "             CFV_IDLE_TIMEOUT_MS (see README)\n");
   std::exit(Code);
 }
 
@@ -234,212 +225,80 @@ Options parseArgs(int Argc, char **Argv) {
   return O;
 }
 
-// The protocol renderers (statsJson, metricsJson, backendsJson,
-// errorJson) live in service/Protocol.cpp, shared with net::Server so
-// the stdin session and the event-loop front-end cannot drift.
-
-/// Serves one line-oriented stream.  Returns true when a shutdown
-/// command ended the session (as opposed to EOF).
-///
-/// Responses come back in submission order: each admitted request's
-/// future is appended to a deque, and completed fronts are flushed as
-/// they finish -- on POSIX the input wait is a poll() loop that ticks
-/// flushReady(), so an interactive client gets each answer without
-/// having to send another line first (and everything drains at
-/// shutdown/EOF).  Parse errors and unknown commands answer inline,
-/// after everything already pending, so request ordering stays exact.
-/// The introspection verbs (stats, metrics) deliberately do NOT drain
-/// the queue: they answer immediately so an operator can observe a
-/// server mid-load, which is the whole point of scraping a live
-/// system.  A raw HTTP GET line turns the stream into a one-shot
-/// Prometheus scrape.
-class Session {
-public:
-  Session(service::Service &S, std::FILE *In, std::FILE *Out)
-      : Svc(S), In(In), Out(Out) {}
-
-  bool run() {
-    std::string Line;
-    while (readLine(Line)) {
-      // service::classifyLine is the shared protocol front-end; the
-      // verify harness fuzzes the same function (verify/ServeFuzz).
-      const service::ClassifiedLine C = service::classifyLine(Line);
-      switch (C.Kind) {
-      case service::LineKind::Empty:
+/// Copies stdin into \p To, the far end of the socketpair the server
+/// reads as its stdin connection.  epoll cannot watch a regular file
+/// (`cfv_serve < requests.txt`), and O_NONBLOCK on an inherited stdin
+/// would leak into the parent shell, so this thread copies with plain
+/// blocking calls.  EOF half-closes \p To (the server still answers what
+/// it read); the server closing its end (drain, bye) stops the copy.
+void copyStdin(int To) {
+  pollfd P[2] = {{STDIN_FILENO, POLLIN, 0}, {To, 0, 0}};
+  char Buf[1 << 16];
+  for (;;) {
+    if (::poll(P, 2, -1) < 0) {
+      if (errno == EINTR)
         continue;
-      case service::LineKind::HttpGet:
-        serveHttpScrape();
-        return false;
-      case service::LineKind::Malformed:
-      case service::LineKind::UnknownCmd:
-      case service::LineKind::BadRequest:
-        // A bad line is a request-level failure, not a server failure:
-        // answer it (after everything already pending) and keep serving.
-        flushAll();
-        writeLine(service::errorJson(C.Id, C.Error));
-        continue;
-      case service::LineKind::Shutdown:
-        flushAll();
-        writeLine("{\"ok\":true,\"bye\":true}");
-        return true;
-      case service::LineKind::Stats:
-        flushReady(); // no drain: stats must answer mid-load
-        writeLine(service::statsJson(Svc));
-        continue;
-      case service::LineKind::Metrics:
-        flushReady();
-        writeLine(service::metricsJson());
-        continue;
-      case service::LineKind::Backends:
-        flushReady(); // introspection: answer immediately, mid-load too
-        writeLine(service::backendsJson());
-        continue;
-      case service::LineKind::Request:
-        Pending.push_back(Svc.submit(C.Request));
-        flushReady();
-        continue;
-      }
+      break;
     }
-    // EOF or drain signal: every admitted request still owes (and gets)
-    // its completion -- flushAll consumes all pending futures.
-    flushAll();
-    return false;
+    if (P[1].revents != 0) // POLLHUP/POLLERR: the server end is gone
+      break;
+    const ssize_t N = ::read(STDIN_FILENO, Buf, sizeof(Buf));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0 || !net::writeAll(To, Buf, static_cast<std::size_t>(N)))
+      break;
   }
+  ::shutdown(To, SHUT_WR);
+}
 
-private:
-#if CFV_SERVE_HAVE_TCP
-  /// Unbuffered poll-driven line reader: while input is quiet, completed
-  /// responses flush every tick instead of waiting for the next request
-  /// line.  Bypasses the FILE buffer (own Buf) so poll() never sleeps on
-  /// data that has already been read.
-  bool readLine(std::string &L) {
-    L.clear();
-    while (true) {
-      while (Pos < Buf.size()) {
-        const char C = Buf[Pos++];
-        if (C == '\n')
-          return true;
-        L.push_back(C);
-      }
-      if (drainRequested())
-        return false; // graceful drain: stop admitting, run() flushes
-      Buf.clear();
-      Pos = 0;
-      pollfd P;
-      P.fd = ::fileno(In);
-      P.events = POLLIN;
-      P.revents = 0;
-      const int R = ::poll(&P, 1, Pending.empty() ? 500 : 50);
-      if (R == 0) {
-        flushReady();
-        continue;
-      }
-      if (R < 0) {
-        if (errno == EINTR)
-          continue; // the drain check above sees SIGTERM next pass
-        return !L.empty();
-      }
-      char Tmp[4096];
-      const ssize_t N = ::read(::fileno(In), Tmp, sizeof(Tmp));
-      if (N <= 0)
-        return !L.empty();
-      Buf.assign(Tmp, static_cast<std::size_t>(N));
-    }
-  }
-#else
-  bool readLine(std::string &L) {
-    L.clear();
-    int C;
-    while ((C = std::fgetc(In)) != EOF) {
-      if (C == '\n')
-        return true;
-      L.push_back(static_cast<char>(C));
-    }
-    return !L.empty();
-  }
-#endif
+/// Makes stdin/stdout \p Server's stream connection: the server owns
+/// Fds[1] of the new socketpair, copyStdin feeds Fds[0], and replies go
+/// straight to stdout, which stays blocking.
+Status bridgeStdio(net::Server &Server, int (&Fds)[2]) {
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, Fds) != 0)
+    return Status::error(ErrorCode::IoError,
+                         std::string("socketpair: ") + std::strerror(errno));
+  return Server.serveStream(Fds[1], STDOUT_FILENO);
+}
 
-  /// Delivers raw bytes to the client (stdout; the TCP path lives in
-  /// net::Server now, with its own backpressure and fault injection).
-  void emit(const std::string &Bytes) {
-    std::fwrite(Bytes.data(), 1, Bytes.size(), Out);
-    std::fflush(Out);
-  }
-
-  void writeLine(const std::string &S) { emit(S + "\n"); }
-
-  void flushFront() {
-    // get() before the gone-check: the future must be consumed either
-    // way so every admitted request completes exactly once.
-    writeLine(Pending.front().get().toJson());
-    Pending.pop_front();
-  }
-
-  void flushReady() {
-    while (!Pending.empty() &&
-           Pending.front().wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready)
-      flushFront();
-  }
-
-  void flushAll() {
-    while (!Pending.empty())
-      flushFront();
-  }
-
-  /// Answers a raw HTTP request line with the Prometheus exposition and
-  /// closes the stream -- `curl http://127.0.0.1:<port>/metrics` against
-  /// a --port server.  Any path serves the same body; request headers
-  /// are drained so the response isn't racing the client's send.
-  void serveHttpScrape() {
-    std::string Header;
-    while (readLine(Header) && !Header.empty() && Header != "\r")
-      ;
-    const std::string Body =
-        obs::MetricsRegistry::instance().renderPrometheus();
-    char Header2[160];
-    std::snprintf(Header2, sizeof(Header2),
-                  "HTTP/1.0 200 OK\r\n"
-                  "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-                  "Content-Length: %zu\r\n"
-                  "Connection: close\r\n"
-                  "\r\n",
-                  Body.size());
-    emit(std::string(Header2) + Body);
-  }
-
-  service::Service &Svc;
-  std::FILE *In;
-  std::FILE *Out;
-  std::string Buf; ///< poll-reader input buffer
-  std::size_t Pos = 0;
-  std::deque<std::future<service::ServeResponse>> Pending;
-};
-
-#if defined(__linux__)
-/// TCP mode: the epoll event-loop front-end (net::Server) -- many
-/// concurrent clients, per-connection pipelining, same-dataset
-/// micro-batching, pre-parse admission control, and an HTTP/1.1
-/// /metrics + /healthz surface on the same port.
-int serveTcp(service::Service &Svc, int Port) {
+/// Runs net::Server over stdin/stdout (\p Port < 0) or a TCP port.
+int serve(service::Service &Svc, int Port) {
   net::Server::Config C;
   C.Port = Port;
   C.ShouldDrain = [] { return drainRequested(); };
   net::Server Server(Svc, C);
-  const Status S = Server.listen();
+  int Fds[2] = {-1, -1};
+  const Status S = Port >= 0 ? Server.listen() : bridgeStdio(Server, Fds);
   if (!S.ok()) {
     std::fprintf(stderr, "cfv_serve: %s\n", S.toString().c_str());
     return 1;
   }
-  std::fprintf(stderr, "cfv_serve: listening on 127.0.0.1:%d\n",
-               Server.boundPort());
-  return Server.run();
+  std::thread Copier;
+  if (Port >= 0)
+    std::fprintf(stderr, "cfv_serve: listening on 127.0.0.1:%d\n",
+                 Server.boundPort());
+  else
+    Copier = std::thread(copyStdin, Fds[0]);
+  const int Rc = Server.run();
+  if (Copier.joinable()) {
+    Copier.join(); // run() closed the server's end, which stops the copy
+    ::close(Fds[0]);
+  }
+  return Rc;
 }
-#endif
 
 } // namespace
 
 int main(int Argc, char **Argv) {
+  // Occupy any closed fd 0-2 before anything opens a file, so no socket
+  // or epoll fd can land on stdin or stdout; a closed stdin then reads
+  // as empty input.
+  int Null;
+  while ((Null = ::open("/dev/null", O_RDWR)) >= 0 && Null <= STDERR_FILENO)
+    ;
+  if (Null >= 0)
+    ::close(Null);
+
   const Options O = parseArgs(Argc, Argv);
   installSignalHandlers();
 
@@ -466,20 +325,10 @@ int main(int Argc, char **Argv) {
   C.WatchdogMs = O.WatchdogMs;
   service::Service Svc(C);
 
-  int Rc = 0;
-  if (O.Port >= 0) {
-#if defined(__linux__)
-    Rc = serveTcp(Svc, O.Port);
-#else
-    std::fprintf(stderr, "error: --port is not supported on this platform\n");
-    return 2;
-#endif
-  } else {
-    Session(Svc, stdin, stdout).run();
-  }
+  const int Rc = serve(Svc, O.Port);
 
   // Graceful drain epilogue: everything admitted has answered by now
-  // (sessions flush their pending futures before returning); drain() is
+  // (run() waits for in-flight replies before returning); drain() is
   // the belt-and-braces barrier, then the final metrics state goes to
   // stderr so a supervisor's last scrape is never lost.
   Svc.drain();
