@@ -62,12 +62,6 @@ run "$BUILD"/bench/serve_throughput "${CFV_BENCH_REQUESTS:-120}"
 # bench/scale_numa.cpp for the row vocabulary.
 run "$BUILD"/bench/scale_numa
 
-# Per-class pattern-dispatch speedup breakdown: for each generator
-# family landing in a specialized tile class, adaptive baseline vs
-# classify-then-dispatch ns/element and the speedup the acceptance gate
-# reads (>= 1.3x on conflict-free/monotone, general within 2%).
-run "$BUILD"/bench/pattern_bench
-
 # Multi-client serving percentiles: N concurrent TCP clients pipelining
 # warm same-dataset requests through the epoll front-end, reporting
 # p50/p95/p99 latency and throughput over OK replies, and the requests

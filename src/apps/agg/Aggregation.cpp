@@ -13,7 +13,6 @@
 #include "core/Variant.h"
 #include "simd/Traits.h"
 #include "obs/Kernel.h"
-#include "pattern/Classify.h"
 #include "util/Stats.h"
 #include "util/Timer.h"
 
@@ -21,7 +20,6 @@
 #include <bit>
 #include <cassert>
 #include <map>
-#include <memory>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -287,17 +285,9 @@ void probeAndAccumulate(LinearTable &T, Mask16 Todo, IVec K, FVec C1,
   }
 }
 
-/// \p Base is the chunk's offset into the globally classified key stream
-/// and \p Pat its pattern classification (src/pattern/), or nullptr: a
-/// vector inside a ConflictFree pseudo-tile holds pairwise-distinct keys
-/// by certification, so the in-register pre-reduction is skipped outright
-/// (probeAndAccumulate still serializes distinct keys whose *slots*
-/// collide).  Vectors never straddle pseudo-tiles: Base and the tile
-/// length are both lane-aligned.
 void buildLinearInvec(LinearTable &T, const int32_t *Keys, const float *Vals,
                       int64_t N, ConflictCounter &MeanD1,
-                      InvecPolicy Policy, int64_t Base = 0,
-                      const pattern::PatternResult *Pat = nullptr) {
+                      InvecPolicy Policy) {
   // §3.4 sampling window for the adaptive policy.
   constexpr int kWindow = 64;
   bool UseAlg2 = Policy == InvecPolicy::Alg2;
@@ -315,11 +305,6 @@ void buildLinearInvec(LinearTable &T, const int32_t *Keys, const float *Vals,
     // Pre-aggregate the duplicate keys of this vector in-register; only
     // lanes holding partial results touch the table at all.
     FVec C1 = FVec::broadcast(1.0f), S = V, Q = V * V;
-    if (Pat && Pat->Tiles[(Base + I) / Pat->TileLen].Class ==
-                   pattern::TileClass::ConflictFree) {
-      probeAndAccumulate(T, Active, K, C1, S, Q);
-      continue;
-    }
     Mask16 Todo;
     if (UseAlg2) {
       // Algorithm 2: at most one merge per third-and-later occurrence;
@@ -403,8 +388,7 @@ namespace {
 template <typename Table>
 void buildChunk(Table &T, const int32_t *Keys, const float *Vals, int64_t Lo,
                 int64_t Hi, AggVersion V, InvecPolicy Policy,
-                SimdUtilCounter &Util, ConflictCounter &MeanD1,
-                const pattern::PatternResult *Pat = nullptr) {
+                SimdUtilCounter &Util, ConflictCounter &MeanD1) {
   switch (V) {
   case AggVersion::LinearSerial:
     if constexpr (std::is_same_v<Table, LinearTable>)
@@ -416,8 +400,7 @@ void buildChunk(Table &T, const int32_t *Keys, const float *Vals, int64_t Lo,
     break;
   case AggVersion::LinearInvec:
     if constexpr (std::is_same_v<Table, LinearTable>)
-      buildLinearInvec(T, Keys + Lo, Vals + Lo, Hi - Lo, MeanD1, Policy,
-                       Lo, Pat);
+      buildLinearInvec(T, Keys + Lo, Vals + Lo, Hi - Lo, MeanD1, Policy);
     break;
   case AggVersion::BucketMask:
     if constexpr (std::is_same_v<Table, BucketTable>)
@@ -440,8 +423,7 @@ void runParallel(AggResult &R, const int32_t *Keys, const float *Vals,
                  int64_t N, int64_t Cardinality, AggVersion V,
                  InvecPolicy Policy, int NumThreads,
                  std::vector<SimdUtilCounter> &Utils,
-                 std::vector<ConflictCounter> &D1s,
-                 const pattern::PatternResult *Pat) {
+                 std::vector<ConflictCounter> &D1s) {
   const std::vector<int64_t> Bounds =
       core::chunkBounds(N, NumThreads, kLanes);
   std::vector<Table> Tables;
@@ -452,7 +434,7 @@ void runParallel(AggResult &R, const int32_t *Keys, const float *Vals,
   WallTimer W;
   core::ParallelEngine::instance().run(NumThreads, [&](int Tid) {
     buildChunk(Tables[Tid], Keys, Vals, Bounds[Tid], Bounds[Tid + 1], V,
-               Policy, Utils[Tid], D1s[Tid], Pat);
+               Policy, Utils[Tid], D1s[Tid]);
   });
   std::map<int32_t, GroupAgg> Merge;
   std::vector<GroupAgg> Part;
@@ -488,25 +470,13 @@ AggResult runAggregationImpl(const int32_t *Keys, const float *Vals,
                       V == AggVersion::LinearMask ||
                       V == AggVersion::LinearInvec;
 
-  // Pattern classification of the key stream (src/pattern/): under mode
-  // On, the invec build skips the in-register pre-reduction inside
-  // certified ConflictFree pseudo-tiles.  Classification runs outside
-  // the timed build (it is inspector work, amortized like tiling).
-  const pattern::Mode PMode = pattern::resolveMode(O.Pattern);
-  std::unique_ptr<pattern::PatternResult> PatOwner;
-  if (V == AggVersion::LinearInvec && PMode != pattern::Mode::Off && N > 0)
-    PatOwner = std::make_unique<pattern::PatternResult>(
-        pattern::classifyStream(Keys, N));
-  const pattern::PatternResult *Pat =
-      PMode == pattern::Mode::On ? PatOwner.get() : nullptr;
-
   if (NumThreads > 1) {
     if (Linear)
       runParallel<LinearTable>(R, Keys, Vals, N, Cardinality, V, Policy,
-                               NumThreads, Utils, D1s, Pat);
+                               NumThreads, Utils, D1s);
     else
       runParallel<BucketTable>(R, Keys, Vals, N, Cardinality, V, Policy,
-                               NumThreads, Utils, D1s, Pat);
+                               NumThreads, Utils, D1s);
   } else if (Linear) {
     LinearTable T(Cardinality);
     WallTimer W;
@@ -518,7 +488,7 @@ AggResult runAggregationImpl(const int32_t *Keys, const float *Vals,
       buildLinearMask(T, Keys, Vals, N, Util);
       break;
     case AggVersion::LinearInvec:
-      buildLinearInvec(T, Keys, Vals, N, MeanD1, Policy, 0, Pat);
+      buildLinearInvec(T, Keys, Vals, N, MeanD1, Policy);
       break;
     default:
       break;
@@ -551,9 +521,6 @@ AggResult runAggregationImpl(const int32_t *Keys, const float *Vals,
   R.UtilHist = Util.laneHistogram();
   R.MeanD1 = MeanD1.count() ? MeanD1.mean() : 0.0;
   R.D1Hist = MeanD1.histogram();
-  if (PatOwner)
-    for (int C = 0; C < pattern::kNumTileClasses; ++C)
-      R.PatternTiles[C] = PatOwner->Counts[C];
   return R;
 }
 

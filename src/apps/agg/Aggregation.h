@@ -73,11 +73,6 @@ struct AggResult {
   /// that ran records them and observability is compiled in).
   LaneHistogram D1Hist;
   LaneHistogram UtilHist;
-  /// Pseudo-tiles of the key stream per pattern class, indexed by
-  /// pattern::TileClass order (ConflictFree, Monotone, SmallAlphabet,
-  /// HotBucket, General); all zero when classification was off or the
-  /// version does not consult it.
-  int64_t PatternTiles[5] = {};
 
   int64_t numGroups() const { return static_cast<int64_t>(Groups.size()); }
 };

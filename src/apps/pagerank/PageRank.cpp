@@ -15,8 +15,6 @@
 #include "inspector/Tiling.h"
 #include "masking/ConflictMask.h"
 #include "obs/Trace.h"
-#include "pattern/Classify.h"
-#include "pattern/Dispatch.h"
 #include "simd/Traits.h"
 #include "util/Stats.h"
 #include "util/Timer.h"
@@ -136,10 +134,9 @@ void edgePhaseMask(const PrState &S, const int32_t *Src, const int32_t *Dst,
 /// auxiliary array, merged into the sink at the end) the §3.4 adaptive
 /// policy applies; without one the kernel stays on Algorithm 1 and
 /// records D1 into \p D1 -- the spill-sink configuration.
-void edgePhaseInvecRange(const PrState &S, const int32_t *Src,
-                         const int32_t *Dst, int64_t Lo, int64_t Hi,
-                         core::FloatSink Out, PrReducer *Reducer,
-                         ConflictCounter *D1) {
+void edgePhaseInvec(const PrState &S, const int32_t *Src, const int32_t *Dst,
+                    int64_t Lo, int64_t Hi, core::FloatSink Out,
+                    PrReducer *Reducer, ConflictCounter *D1) {
   const int64_t Count = Hi - Lo;
   const int64_t Whole = Lo + (Count - Count % kLanes);
   for (int64_t J = Lo; J < Whole; J += kLanes) {
@@ -180,48 +177,6 @@ void edgePhaseInvecRange(const PrState &S, const int32_t *Src,
       Mret = IR.Ret;
     }
     Out.commit(Mret, Vny, Vadd);
-  }
-}
-
-void edgePhaseInvec(const PrState &S, const int32_t *Src, const int32_t *Dst,
-                    int64_t Lo, int64_t Hi, core::FloatSink Out,
-                    PrReducer *Reducer, ConflictCounter *D1) {
-  edgePhaseInvecRange(S, Src, Dst, Lo, Hi, Out, Reducer, D1);
-  if (Reducer)
-    Reducer->mergeInto(Out.densePtr());
-}
-
-/// Pattern-dispatch edge phase (src/pattern/): walks the whole tiles
-/// inside [Lo, Hi) -- chunk bounds are tile-aligned for the tiled
-/// versions -- and routes each to its class-specialized kernel.  General
-/// tiles fall back to the existing invec range; the Algorithm 2
-/// auxiliary merge is hoisted to one mergeInto at the end so a run of
-/// General tiles does not pay it per tile.
-void edgePhasePattern(const PrState &S, const int32_t *Src, const int32_t *Dst,
-                      const std::vector<int64_t> &TileBounds,
-                      const pattern::PatternResult &P, int64_t Lo, int64_t Hi,
-                      core::FloatSink Out, PrReducer *Reducer,
-                      ConflictCounter *D1, pattern::DispatchCounts &Counts) {
-  auto It = std::lower_bound(TileBounds.begin(), TileBounds.end(), Lo);
-  for (std::size_t T = static_cast<std::size_t>(It - TileBounds.begin());
-       T + 1 < TileBounds.size() && TileBounds[T] < Hi; ++T) {
-    const int64_t TLo = TileBounds[T];
-    const int64_t THi = std::min(TileBounds[T + 1], Hi);
-    const pattern::TileInfo &Info = P.Tiles[T];
-    // Payload offsets are relative to the tile start the kernel walks
-    // from; inactive lanes gather rank 0 / degree 1, i.e. add 0.
-    const auto Payload = [&](Mask16 Active, int64_t I) {
-      const IVec Vnx =
-          IVec::maskLoad(IVec::zero(), Active, Src + TLo + I);
-      const FVec Vrank =
-          FVec::maskGather(FVec::zero(), Active, S.Rank.data(), Vnx);
-      const FVec Vdeg = FVec::maskGather(FVec::broadcast(1.0f), Active,
-                                         S.DegF.data(), Vnx);
-      return Vrank / Vdeg;
-    };
-    if (!pattern::runTileSpecialized<simd::OpAdd, float, B>(
-            Info, Dst + TLo, THi - TLo, Payload, Out, &Counts))
-      edgePhaseInvecRange(S, Src, Dst, TLo, THi, Out, Reducer, D1);
   }
   if (Reducer)
     Reducer->mergeInto(Out.densePtr());
@@ -275,9 +230,6 @@ PageRankResult apps::CFV_VARIANT_NS::runPageRank(const graph::EdgeList &G,
   AlignedVector<Mask16> GroupMask;
   std::vector<int64_t> TileBounds;        // tile boundaries, for chunking
   const bool Tiled = V != PrVersion::NontilingSerial;
-  // Pattern classification (src/pattern/) for the invec dispatch.
-  const pattern::Mode PMode = pattern::resolveMode(O.Pattern);
-  std::shared_ptr<const pattern::PatternResult> Pat;
 
   if (Tiled) {
     WallTimer T;
@@ -300,19 +252,6 @@ PageRankResult apps::CFV_VARIANT_NS::runPageRank(const graph::EdgeList &G,
     TSrc = inspector::applyPermutation(Tiling.Order, ESrc);
     TDst = inspector::applyPermutation(Tiling.Order, EDst);
     TileBounds = Tiling.TileBegin;
-    // Reuse the classification a shared schedule carries; classify
-    // locally otherwise.  Local classification is inspector work, so it
-    // lands in TilingSeconds like the counting sort it rides on.
-    if (V == PrVersion::TilingInvec && PMode != pattern::Mode::Off) {
-      if (Shared && pattern::compatible(Shared->Pattern.get()) &&
-          Shared->Pattern->numTiles() ==
-              static_cast<int64_t>(TileBounds.size()) - 1)
-        Pat = Shared->Pattern;
-      else
-        Pat = std::make_shared<pattern::PatternResult>(
-            pattern::classifyTiles(TDst.data(), TileBounds,
-                                   O.TileBlockBits));
-    }
     R.TilingSeconds = T.seconds();
     // Retroactive span from the same measurement the result reports, so
     // the trace and PageRankResult::TilingSeconds cannot disagree.
@@ -378,13 +317,6 @@ PageRankResult apps::CFV_VARIANT_NS::runPageRank(const graph::EdgeList &G,
   // only (its auxiliary merge needs a dense target).
   std::vector<SimdUtilCounter> Utils(NumThreads);
   std::vector<ConflictCounter> D1s(NumThreads);
-  // Specialized dispatch only under mode On; ClassifyOnly keeps the
-  // plain invec executor and reports the mix.
-  const bool UsePattern = Pat != nullptr && PMode == pattern::Mode::On &&
-                          !TileBounds.empty();
-  std::vector<pattern::DispatchCounts> PCounts;
-  if (UsePattern)
-    PCounts.resize(NumThreads);
   std::vector<AlignedVector<float>> AuxParts;
   std::vector<std::unique_ptr<PrReducer>> Reducers;
   if (V == PrVersion::TilingInvec && Dense) {
@@ -421,14 +353,9 @@ PageRankResult apps::CFV_VARIANT_NS::runPageRank(const graph::EdgeList &G,
       edgePhaseMask(S, Src, Dst, Lo, Hi, Out, Utils[Tid]);
       return;
     case PrVersion::TilingInvec:
-      if (UsePattern)
-        edgePhasePattern(S, Src, Dst, TileBounds, *Pat, Lo, Hi, Out,
-                         Reducers.empty() ? nullptr : Reducers[Tid].get(),
-                         &D1s[Tid], PCounts[Tid]);
-      else
-        edgePhaseInvec(S, Src, Dst, Lo, Hi, Out,
-                       Reducers.empty() ? nullptr : Reducers[Tid].get(),
-                       &D1s[Tid]);
+      edgePhaseInvec(S, Src, Dst, Lo, Hi, Out,
+                     Reducers.empty() ? nullptr : Reducers[Tid].get(),
+                     &D1s[Tid]);
       return;
     }
   };
@@ -476,15 +403,6 @@ PageRankResult apps::CFV_VARIANT_NS::runPageRank(const graph::EdgeList &G,
       MD.merge(D);
     R.MeanD1 = MD.mean();
     R.D1Hist = MD.histogram();
-  }
-  if (Pat)
-    for (int C = 0; C < pattern::kNumTileClasses; ++C)
-      R.PatternTiles[C] = Pat->Counts[C];
-  if (UsePattern) {
-    pattern::DispatchCounts Total;
-    for (const pattern::DispatchCounts &PC : PCounts)
-      Total.merge(PC);
-    pattern::recordDispatch(Total);
   }
   return R;
 }

@@ -67,12 +67,6 @@ struct PageRankResult {
   /// that ran records them and observability is compiled in).
   LaneHistogram D1Hist;
   LaneHistogram UtilHist;
-  /// Tiles dispatched per pattern class, indexed by pattern::TileClass
-  /// order (ConflictFree, Monotone, SmallAlphabet, HotBucket, General).
-  /// All zero when classification was off or the version does not
-  /// dispatch on patterns.  A plain array keeps this header below the
-  /// pattern layer.
-  int64_t PatternTiles[5] = {};
 
   double totalSeconds() const {
     return ComputeSeconds + TilingSeconds + GroupingSeconds;

@@ -16,14 +16,10 @@
 #include "inspector/Tiling.h"
 #include "masking/ConflictMask.h"
 #include "obs/Trace.h"
-#include "pattern/Classify.h"
-#include "pattern/Dispatch.h"
 #include "util/Stats.h"
 #include "util/Timer.h"
 
-#include <algorithm>
 #include <cassert>
-#include <memory>
 #include <vector>
 
 using namespace cfv;
@@ -133,36 +129,6 @@ void multiplyCooInvec(const CooView &A, const float *X, int64_t Lo,
   }
 }
 
-/// Pattern-dispatch COO multiply (src/pattern/): walks the pseudo-tiles
-/// of the row-stream classification intersecting [Lo, Hi) and routes
-/// each piece to its class kernel; General pieces run the plain invec
-/// loop.  Chunk bounds are lane-aligned and pseudo-tile starts are
-/// TileLen-aligned (TileLen a multiple of 16), so every vector stays
-/// inside a certified window even when a chunk starts mid-tile.
-void multiplyCooPattern(const CooView &A, const float *X,
-                        const pattern::PatternResult &P, int64_t Lo,
-                        int64_t Hi, core::FloatSink Out,
-                        ConflictCounter &MeanD1,
-                        pattern::DispatchCounts &Counts) {
-  const int32_t *Row = A.Src;
-  for (int64_t E = Lo; E < Hi;) {
-    const int64_t T = E / P.TileLen;
-    const int64_t End = std::min(Hi, (T + 1) * P.TileLen);
-    const auto Payload = [&](Mask16 Active, int64_t I) {
-      const IVec Col =
-          IVec::maskLoad(IVec::zero(), Active, A.Dst + E + I);
-      const FVec V =
-          FVec::maskLoad(FVec::zero(), Active, A.Wt + E + I);
-      const FVec Xc = FVec::maskGather(FVec::zero(), Active, X, Col);
-      return V * Xc;
-    };
-    if (!pattern::runTileSpecialized<simd::OpAdd, float, B>(
-            P.Tiles[T], Row + E, End - E, Payload, Out, &Counts))
-      multiplyCooInvec(A, X, E, End, Out, MeanD1);
-    E = End;
-  }
-}
-
 struct GroupedMatrix {
   AlignedVector<int32_t> Row, Col;
   AlignedVector<float> Val;
@@ -256,33 +222,6 @@ SpmvResult apps::CFV_VARIANT_NS::runSpmv(const graph::EdgeList &A,
                                      R.PrepSeconds);
   }
 
-  // Pattern classification of the row stream (src/pattern/) for the
-  // invec dispatch: reuse a compatible shared classification
-  // (PreparedGraph::streamPattern through the cfv::run facade), classify
-  // locally otherwise; local classification is inspector work and lands
-  // in PrepSeconds.
-  const pattern::Mode PMode = pattern::resolveMode(O.Pattern);
-  std::unique_ptr<pattern::PatternResult> LocalPat;
-  const pattern::PatternResult *Pat = nullptr;
-  if (V == SpmvVersion::CooInvec && PMode != pattern::Mode::Off &&
-      Coo.M > 0) {
-    const pattern::PatternResult *SP = O.SharedPattern;
-    if (pattern::compatible(SP) && SP->TileLen > 0 &&
-        SP->numTiles() == (Coo.M + SP->TileLen - 1) / SP->TileLen) {
-      Pat = SP;
-    } else {
-      WallTimer P;
-      LocalPat = std::make_unique<pattern::PatternResult>(
-          pattern::classifyStream(Coo.Src, Coo.M));
-      Pat = LocalPat.get();
-      R.PrepSeconds += P.seconds();
-    }
-  }
-  const bool UsePattern = Pat != nullptr && PMode == pattern::Mode::On;
-  std::vector<pattern::DispatchCounts> PCounts;
-  if (UsePattern)
-    PCounts.resize(NumThreads);
-
   // CSR needs no privatized replicas (rows are disjoint); the COO paths
   // accumulate by row index and privatize like every other app.
   const std::vector<int64_t> Bounds =
@@ -327,11 +266,7 @@ SpmvResult apps::CFV_VARIANT_NS::runSpmv(const graph::EdgeList &A,
       multiplyCooMask(Coo, X, Lo, Hi, Out, Utils[Tid]);
       break;
     case SpmvVersion::CooInvec:
-      if (UsePattern)
-        multiplyCooPattern(Coo, X, *Pat, Lo, Hi, Out, D1s[Tid],
-                           PCounts[Tid]);
-      else
-        multiplyCooInvec(Coo, X, Lo, Hi, Out, D1s[Tid]);
+      multiplyCooInvec(Coo, X, Lo, Hi, Out, D1s[Tid]);
       break;
     case SpmvVersion::CooGrouping:
       multiplyGrouped(M, X, Lo, Hi, Out);
@@ -364,14 +299,5 @@ SpmvResult apps::CFV_VARIANT_NS::runSpmv(const graph::EdgeList &A,
   R.UtilHist = Util.laneHistogram();
   R.MeanD1 = MeanD1.count() ? MeanD1.mean() : 0.0;
   R.D1Hist = MeanD1.histogram();
-  if (Pat)
-    for (int C = 0; C < pattern::kNumTileClasses; ++C)
-      R.PatternTiles[C] = Pat->Counts[C];
-  if (UsePattern) {
-    pattern::DispatchCounts Total;
-    for (const pattern::DispatchCounts &PC : PCounts)
-      Total.merge(PC);
-    pattern::recordDispatch(Total);
-  }
   return R;
 }

@@ -47,11 +47,6 @@ struct SpmvResult {
   /// that ran records them and observability is compiled in).
   LaneHistogram D1Hist;
   LaneHistogram UtilHist;
-  /// Pseudo-tiles of the row stream per pattern class, indexed by
-  /// pattern::TileClass order (ConflictFree, Monotone, SmallAlphabet,
-  /// HotBucket, General); all zero when classification was off or the
-  /// version does not dispatch on patterns.
-  int64_t PatternTiles[5] = {};
 };
 
 /// Computes y = A * x \p Repeats times (the repeat models iterative

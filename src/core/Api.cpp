@@ -10,7 +10,6 @@
 #include "graph/MappedCsr.h"
 #include "graph/Prepared.h"
 #include "numa/Topology.h"
-#include "pattern/Classify.h"
 #include "obs/Kernel.h"
 #include "obs/Trace.h"
 #include "util/AlignedAlloc.h"
@@ -382,12 +381,6 @@ Expected<AppResult> cfv::run(const AppRequest &Request) {
     case AppId::Spmv:
       if (R.Version == AppVersion::CsrSerial)
         R.Options.SharedCsr = &R.Prepared->csr();
-      // The COO invec path dispatches on the memoized row-stream
-      // classification (pseudo-tiles over Src).
-      else if ((R.Version == AppVersion::Default ||
-                R.Version == AppVersion::Invec) &&
-               pattern::resolveMode(R.Options.Pattern) != pattern::Mode::Off)
-        R.Options.SharedPattern = &R.Prepared->streamPattern();
       break;
     default:
       break;
@@ -465,8 +458,6 @@ Expected<AppResult> cfv::run(const AppRequest &Request) {
     Res.D1Hist = PR.D1Hist;
     Res.UtilHist = PR.UtilHist;
     Res.TimedOut = PR.TimedOut;
-    for (int C = 0; C < 5; ++C)
-      Res.PatternTiles[C] = PR.PatternTiles[C];
     Res.UsedMappedCsr = mappedCompatible(R, /*NeedsWeights=*/false);
     Res.EdgesProcessed = static_cast<int64_t>(PR.Iterations) *
                          effectiveEdges(R, /*NeedsWeights=*/false);
@@ -565,8 +556,6 @@ Expected<AppResult> cfv::run(const AppRequest &Request) {
     Res.MeanD1 = AR.MeanD1;
     Res.D1Hist = AR.D1Hist;
     Res.UtilHist = AR.UtilHist;
-    for (int C = 0; C < 5; ++C)
-      Res.PatternTiles[C] = AR.PatternTiles[C];
     Res.EdgesProcessed = R.Rows;
     break;
   }
@@ -613,8 +602,6 @@ Expected<AppResult> cfv::run(const AppRequest &Request) {
     Res.MeanD1 = SR.MeanD1;
     Res.D1Hist = SR.D1Hist;
     Res.UtilHist = SR.UtilHist;
-    for (int C = 0; C < 5; ++C)
-      Res.PatternTiles[C] = SR.PatternTiles[C];
     Res.UsedMappedCsr = mappedCompatible(R, /*NeedsWeights=*/true);
     Res.EdgesProcessed = static_cast<int64_t>(Repeats) *
                          effectiveEdges(R, /*NeedsWeights=*/true);
@@ -650,8 +637,6 @@ Expected<AppResult> cfv::run(const AppRequest &Request) {
   }
   }
   Res.PrepSeconds += ArtifactSeconds;
-  Res.PatternModeName =
-      pattern::modeName(pattern::resolveMode(R.Options.Pattern));
   // Report the shard plan the engine used (the NumaGuard override is
   // still live here, so this resolves exactly what the run saw).
   if (const std::shared_ptr<const numa::ShardPlan> Plan =

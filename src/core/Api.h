@@ -270,14 +270,6 @@ struct AppResult {
   /// compiled out; the run facade flushes them into the metrics registry.
   LaneHistogram D1Hist;
   LaneHistogram UtilHist;
-  /// Tiles (or pseudo-tiles) per pattern class, indexed by
-  /// pattern::TileClass order (ConflictFree, Monotone, SmallAlphabet,
-  /// HotBucket, General); all zero when classification was off or the
-  /// app/version does not consult the pattern subsystem.
-  int64_t PatternTiles[5] = {};
-  /// Effective pattern mode of the run ("off", "classify-only", "on"),
-  /// after resolving RunOptions::Pattern against CFV_PATTERN.
-  std::string PatternModeName;
   /// NUMA nodes the sharded engine planned for (1 = flat execution:
   /// CFV_NUMA=off, a single-node topology, or a serial run).
   int NumaNodes = 1;

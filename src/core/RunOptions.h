@@ -33,9 +33,6 @@ namespace graph {
 struct Csr;
 class MappedCsr;
 }
-namespace pattern {
-struct PatternResult;
-}
 
 namespace core {
 
@@ -50,11 +47,6 @@ enum class BackendChoice { Auto, Scalar, Avx2, Avx512 };
 /// Algorithm 1, Algorithm 2, or the paper's sampling policy that starts
 /// on Algorithm 1 and switches when the observed mean D1 exceeds 1.
 enum class InvecPolicy { Alg1, Alg2, Adaptive };
-
-/// Pattern-classification subsystem request (src/pattern/): Env defers
-/// to the process-wide CFV_PATTERN knob; the other values override it
-/// per run.  pattern::resolveMode turns this into the effective mode.
-enum class PatternMode { Env, Off, ClassifyOnly, On };
 
 /// NUMA-sharded execution request (src/numa/): Env defers to the
 /// process-wide CFV_NUMA knob; the other values override it per run
@@ -101,17 +93,6 @@ struct RunOptions {
   /// (borrowed, must describe the same graph).  Consumed by the frontier
   /// engine's expansion and SpMV's csr_serial version.
   const graph::Csr *SharedCsr = nullptr;
-
-  /// Pattern-classification request for the invec executors; see
-  /// PatternMode.
-  PatternMode Pattern = PatternMode::Env;
-
-  /// Precomputed pattern classification of the app's *flat* index stream
-  /// (borrowed; graph::PreparedGraph::streamPattern memoizes it).  Used
-  /// by stream-shaped consumers (SpMV COO); tiled consumers read the
-  /// classification attached to SharedTiling instead.  Apps verify
-  /// schema/shape compatibility and re-classify locally otherwise.
-  const pattern::PatternResult *SharedPattern = nullptr;
 
   /// Out-of-core backing to stream edges from instead of the in-core
   /// EdgeList arrays (borrowed; graph::PreparedGraph::mappedCsr memoizes

@@ -67,16 +67,6 @@ const inspector::TilingResult &PreparedGraph::tiling(int BlockBits) const {
     auto T = std::make_unique<inspector::TilingResult>(
         inspector::tileByDestination(Edges.Dst.data(), Edges.numEdges(),
                                      Edges.NumNodes, BlockBits));
-    // Classify each tile's destination stream while the schedule is still
-    // private to this thread; once published via the map the TilingResult
-    // is immutable.  Skipped entirely under CFV_PATTERN=off so the knob
-    // also disables the inspector-side cost.
-    if (pattern::envMode() != pattern::Mode::Off) {
-      auto P = std::make_shared<pattern::PatternResult>(
-          pattern::classifyTiling(*T, Edges.Dst.data()));
-      ArtifactBytes.fetch_add(P->approxBytes(), std::memory_order_relaxed);
-      T->Pattern = std::move(P);
-    }
     ArtifactBytes.fetch_add(T->approxBytes(), std::memory_order_relaxed);
     It = Tilings.emplace(BlockBits, std::move(T)).first;
   }

@@ -40,16 +40,6 @@
 namespace cfv {
 namespace graph {
 
-/// Version of the derived-artifact formats (CSR / tiling / pattern
-/// classification) this binary produces and understands.
-/// service::DatasetCache folds it into its keys, so bumping it here
-/// orphans every cached artifact built under the old layout instead of
-/// serving it misinterpreted.  Bump whenever any derived artifact
-/// changes format or semantics; the pattern schema contributes its own
-/// component so classifier-threshold changes invalidate too.
-/// (3: the out-of-core CFVM mapped-CSR artifact joined the family.)
-constexpr int kDerivedSchemaVersion = 3 * 100 + pattern::kPatternSchemaVersion;
-
 class PreparedGraph {
 public:
   explicit PreparedGraph(EdgeList G);
@@ -64,11 +54,7 @@ public:
   const AlignedVector<int32_t> &outDegrees() const;
 
   /// Memoized destination-block tiling for \p BlockBits (one schedule per
-  /// distinct block size; apps overwhelmingly use the default 16).  When
-  /// the pattern subsystem is not disabled (CFV_PATTERN != off), the
-  /// returned schedule carries its per-tile classification
-  /// (TilingResult::Pattern), attached before publication so concurrent
-  /// readers never observe it half-built.
+  /// distinct block size; apps overwhelmingly use the default 16).
   const inspector::TilingResult &tiling(int BlockBits) const;
 
   /// Memoized out-of-core backing (graph::MappedCsr): the edge list is
@@ -80,11 +66,11 @@ public:
   /// dataset, not one per request.
   std::shared_ptr<const MappedCsr> mappedCsr() const;
 
-  /// Memoized pattern classification of the *flat* destination stream in
-  /// pseudo-tiles (pattern::classifyStream), for stream-shaped consumers
-  /// that reduce by Src rather than a tiled order (SpMV COO reduces into
-  /// rows): classifies Edges.Src.  Built even when CFV_PATTERN=off --
-  /// callers that ask for it want it.
+  /// Memoized pattern classification of the flat *source* stream
+  /// (Edges.Src, the row stream SpMV's COO versions reduce into) in
+  /// pseudo-tiles: pattern::classifyStream(Edges.Src, numEdges()).  A
+  /// diagnostic only -- no kernel dispatches on it.  The first call adds
+  /// the result's bytes to approxBytes().
   const pattern::PatternResult &streamPattern() const;
 
   /// Resident bytes: edge list plus every artifact built so far.  Grows

@@ -25,18 +25,9 @@
 #include "util/AlignedAlloc.h"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace cfv {
-
-// The pattern subsystem sits above the inspector in the layering; the
-// tiling only carries shared ownership of an opaque classification, so a
-// forward declaration suffices.
-namespace pattern {
-struct PatternResult;
-}
-
 namespace inspector {
 
 /// Result of the tiling inspector: a permutation of edge ids grouped into
@@ -50,14 +41,6 @@ struct TilingResult {
   std::vector<int64_t> TileBegin;
   /// Destination block size is 1 << BlockBits reduction-array entries.
   int BlockBits = 0;
-  /// Per-tile index-stream classification (pattern/Classify.h), attached
-  /// by whoever built the schedule when the pattern subsystem is
-  /// enabled; nullptr when classification was skipped.  Shared ownership
-  /// so executors holding a borrowed TilingResult keep the
-  /// classification alive with it.  Set before the TilingResult is
-  /// published to other threads (PreparedGraph attaches it under its
-  /// artifact mutex); immutable afterwards.
-  std::shared_ptr<const pattern::PatternResult> Pattern;
 
   int64_t numTiles() const {
     return static_cast<int64_t>(TileBegin.size()) - 1;

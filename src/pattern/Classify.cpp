@@ -6,14 +6,8 @@
 
 #include "pattern/Classify.h"
 
-#include "util/Env.h"
-
 #include <algorithm>
 #include <cstring>
-
-#if CFV_OBS
-#include "obs/Metrics.h"
-#endif
 
 using namespace cfv;
 using namespace cfv::pattern;
@@ -34,52 +28,6 @@ const char *pattern::tileClassName(TileClass C) {
   return "unknown";
 }
 
-const char *pattern::modeName(Mode M) {
-  switch (M) {
-  case Mode::Off:
-    return "off";
-  case Mode::ClassifyOnly:
-    return "classify-only";
-  case Mode::On:
-    return "on";
-  }
-  return "unknown";
-}
-
-Mode pattern::envMode() {
-  static const Mode M = [] {
-    const char *V = std::getenv("CFV_PATTERN");
-    if (!V || !*V)
-      return Mode::On;
-    const auto Is = [V](const char *S) { return std::strcmp(V, S) == 0; };
-    if (Is("off") || Is("0") || Is("false"))
-      return Mode::Off;
-    if (Is("classify-only") || Is("classify_only") || Is("stats"))
-      return Mode::ClassifyOnly;
-    if (Is("on") || Is("1") || Is("true"))
-      return Mode::On;
-    env::detail::noteOnce("CFV_PATTERN",
-                          std::string("CFV_PATTERN='") + V +
-                              "' is not off|classify-only|on; using on");
-    return Mode::On;
-  }();
-  return M;
-}
-
-Mode pattern::resolveMode(core::PatternMode Request) {
-  switch (Request) {
-  case core::PatternMode::Off:
-    return Mode::Off;
-  case core::PatternMode::ClassifyOnly:
-    return Mode::ClassifyOnly;
-  case core::PatternMode::On:
-    return Mode::On;
-  case core::PatternMode::Env:
-    break;
-  }
-  return envMode();
-}
-
 namespace {
 
 /// One scan of tile elements A(0..N-1): monotonicity, run lengths,
@@ -89,8 +37,7 @@ namespace {
 template <typename AccessFn> TileInfo classifyOne(AccessFn A, int64_t N) {
   TileInfo Info;
   if (N <= 0) {
-    // An empty tile trivially has no conflicts; the dispatcher's
-    // conflict-free path is a no-op over zero vectors.
+    // An empty tile trivially has no conflicts.
     Info.Class = TileClass::ConflictFree;
     return Info;
   }
@@ -215,7 +162,6 @@ PatternResult classifyAllTiles(AccessFn A, const std::vector<int64_t> &Begin,
     ++R.Counts[static_cast<int>(Info.Class)];
     R.Tiles.push_back(Info);
   }
-  recordClassification(R);
   return R;
 }
 
@@ -253,61 +199,3 @@ PatternResult pattern::classifyTiling(const inspector::TilingResult &T,
       [Order, Values](int64_t I) { return Values[Order[I]]; }, T.TileBegin,
       T.BlockBits, /*TileLen=*/0);
 }
-
-PatternResult pattern::classifyTiles(const int32_t *TiledIdx,
-                                     const std::vector<int64_t> &TileBegin,
-                                     int BlockBits) {
-  return classifyAllTiles([TiledIdx](int64_t I) { return TiledIdx[I]; },
-                          TileBegin, BlockBits, /*TileLen=*/0);
-}
-
-//===----------------------------------------------------------------------===//
-// Metrics flush (baseline pass only; see Pattern.h for the contract)
-//===----------------------------------------------------------------------===//
-
-#if CFV_OBS
-
-void pattern::recordClassification(const PatternResult &R) {
-  if (!obs::enabled())
-    return;
-  obs::MetricsRegistry &Reg = obs::MetricsRegistry::instance();
-  for (int C = 0; C < kNumTileClasses; ++C) {
-    if (!R.Counts[C])
-      continue;
-    const std::string Label = std::string("class=\"") +
-                              tileClassName(static_cast<TileClass>(C)) +
-                              "\"";
-    Reg.counter("cfv_pattern_tiles_total", Label,
-                "Tiles classified per pattern class")
-        .inc(static_cast<uint64_t>(R.Counts[C]));
-  }
-}
-
-void pattern::recordDispatch(const DispatchCounts &C) {
-  if (!obs::enabled())
-    return;
-  obs::MetricsRegistry &Reg = obs::MetricsRegistry::instance();
-  for (int I = 0; I < kNumTileClasses; ++I) {
-    const char *Name = tileClassName(static_cast<TileClass>(I));
-    const std::string Label = std::string("class=\"") + Name + "\"";
-    if (C.Tiles[I])
-      Reg.counter("cfv_pattern_dispatch_total", Label,
-                  "Tiles routed to a class kernel by pattern dispatch")
-          .inc(static_cast<uint64_t>(C.Tiles[I]));
-    if (C.Vectors[I])
-      Reg.counter("cfv_pattern_dispatch_vectors_total", Label,
-                  "Vector passes executed by each class kernel")
-          .inc(static_cast<uint64_t>(C.Vectors[I]));
-    if (C.Util[I].total()) {
-      obs::Histogram &H = Reg.histogram(
-          "cfv_pattern_useful_lanes",
-          obs::laneBounds(C.LaneWidth > 0 ? C.LaneWidth : 16), Label,
-          "Useful lanes per vector pass, per pattern class");
-      for (unsigned S = 0; S < LaneHistogram::kSlots; ++S)
-        if (C.Util[I].count(S))
-          H.observe(static_cast<double>(S), C.Util[I].count(S));
-    }
-  }
-}
-
-#endif // CFV_OBS

@@ -5,25 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The inspector side of the pattern subsystem: one linear scan per tile
-/// assigns a TileClass plus the stats in pattern::TileInfo.  Everything
-/// is scalar and ISA-independent -- classification happens once per
-/// dataset and is cached, so simplicity and exactness beat vectorizing
-/// the analysis itself.
+/// The pattern classifier: one linear scan per tile assigns a TileClass
+/// plus the stats in pattern::TileInfo.  Everything is scalar and
+/// ISA-independent -- it is a diagnostic, so simplicity and exactness
+/// beat vectorizing the analysis itself.
 ///
-/// Certification contract: ConflictFree means *no aligned 16-lane window
-/// measured from the tile's first element contains a duplicate index*.
-/// Executors must therefore walk each tile from its own start in
-/// lane-aligned steps (every tile-aligned 8- or 16-lane vector is then a
-/// sub-window of a certified window); the engine's chunk bounds are tile-
-/// or lane-aligned already, so this holds for every dispatch site.
+/// ConflictFree means *no aligned 16-lane window measured from the tile's
+/// first element contains a duplicate index*, so every tile-aligned 8- or
+/// 16-lane vector is a sub-window of a certified window.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef CFV_PATTERN_CLASSIFY_H
-#define CFV_PATTERN_CLASSIFY_H
+#ifndef CFV_PAT_CLASSIFY_H
+#define CFV_PAT_CLASSIFY_H
 
-#include "core/RunOptions.h"
 #include "inspector/Tiling.h"
 #include "pattern/Pattern.h"
 
@@ -32,10 +27,10 @@
 namespace cfv {
 namespace pattern {
 
-/// Pseudo-tile length for flat (untiled) streams: long enough to
-/// amortize per-tile dispatch, short enough that one misbehaving stretch
-/// cannot drag a whole stream to General.  Must stay a multiple of
-/// kClassifyWindow so pseudo-tile starts are window-aligned.
+/// Pseudo-tile length for flat (untiled) streams: short enough that one
+/// misbehaving stretch cannot drag a whole stream to General.  Must stay
+/// a multiple of kClassifyWindow so pseudo-tile starts are
+/// window-aligned.
 constexpr int64_t kStreamTileLen = 4096;
 
 /// Classifies one contiguous index range as a single tile.  Exposed as
@@ -44,36 +39,19 @@ TileInfo classifyRange(const int32_t *Idx, int64_t N);
 
 /// Classifies a flat stream in fixed pseudo-tiles of \p TileLen
 /// (BlockBits = -1 in the result).  Used for streams that have no
-/// inspector tiling: SpMV's COO row stream, aggregation keys, and the
+/// inspector tiling: graph::PreparedGraph::streamPattern and the
 /// verification pipelines.
 PatternResult classifyStream(const int32_t *Idx, int64_t N,
                              int64_t TileLen = kStreamTileLen);
 
 /// Classifies an inspector tiling: element p of the tiled stream is
 /// Values[T.Order[p]], tile t spans [T.TileBegin[t], T.TileBegin[t+1]).
-/// This is what graph::PreparedGraph memoizes, applying the permutation
-/// on the fly so the permuted copy never needs to be materialized.
+/// The permutation is applied on the fly, so the permuted copy never
+/// needs to be materialized.
 PatternResult classifyTiling(const inspector::TilingResult &T,
                              const int32_t *Values);
-
-/// Same, over an already-permuted stream (apps that materialized the
-/// tiled order locally).
-PatternResult classifyTiles(const int32_t *TiledIdx,
-                            const std::vector<int64_t> &TileBegin,
-                            int BlockBits);
-
-/// Resolves a per-run request against the process-wide CFV_PATTERN
-/// default (core::PatternMode::Env defers to envMode()).
-Mode resolveMode(core::PatternMode Request);
-
-/// True when \p R is usable by this binary: schema version matches and
-/// the tile table is present.  Stale cached artifacts fail this and the
-/// caller re-classifies instead of misreading them.
-inline bool compatible(const PatternResult *R) {
-  return R && R->SchemaVersion == kPatternSchemaVersion && !R->Tiles.empty();
-}
 
 } // namespace pattern
 } // namespace cfv
 
-#endif // CFV_PATTERN_CLASSIFY_H
+#endif // CFV_PAT_CLASSIFY_H

@@ -53,10 +53,10 @@ struct CacheCounters {
 } // namespace
 
 std::string DatasetKey::toString() const {
-  char Buf[112];
-  std::snprintf(Buf, sizeof(Buf), " scale=%g %s seed=%llu schema=%d", Scale,
+  char Buf[96];
+  std::snprintf(Buf, sizeof(Buf), " scale=%g %s seed=%llu", Scale,
                 Weighted ? "weighted" : "unweighted",
-                static_cast<unsigned long long>(WeightSeed), Schema);
+                static_cast<unsigned long long>(WeightSeed));
   return (FromFile ? "file:" : "") + Source + Buf;
 }
 

@@ -62,12 +62,6 @@ struct DatasetKey {
   bool Weighted = false;
   /// Seed for the weight attachment above.
   uint64_t WeightSeed = 0xCF5EEDULL;
-  /// Derived-artifact schema version the entry's PreparedGraph was built
-  /// under (graph::kDerivedSchemaVersion).  Participates in the key so a
-  /// version bump -- tiling layout change, pattern-classifier threshold
-  /// change -- orphans stale cached artifacts instead of serving them
-  /// misinterpreted.  Callers normally leave the default.
-  int Schema = graph::kDerivedSchemaVersion;
 
   bool operator<(const DatasetKey &O) const {
     if (Source != O.Source)
@@ -78,9 +72,7 @@ struct DatasetKey {
       return Scale < O.Scale;
     if (Weighted != O.Weighted)
       return Weighted < O.Weighted;
-    if (WeightSeed != O.WeightSeed)
-      return WeightSeed < O.WeightSeed;
-    return Schema < O.Schema;
+    return WeightSeed < O.WeightSeed;
   }
   bool operator==(const DatasetKey &O) const {
     return !(*this < O) && !(O < *this);

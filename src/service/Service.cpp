@@ -8,7 +8,6 @@
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "pattern/Pattern.h"
 #include "util/Clock.h"
 #include "util/Timer.h"
 
@@ -74,14 +73,6 @@ std::string ServeResponse::toJson() const {
       .field("prep_seconds", PrepSeconds)
       .field("kernel_seconds", KernelSeconds)
       .field("cache_hit", CacheHit);
-  if (!PatternMode.empty()) {
-    W.field("pattern_mode", PatternMode);
-    json::ObjectWriter T;
-    for (int C = 0; C < 5; ++C)
-      T.field(pattern::tileClassName(static_cast<pattern::TileClass>(C)),
-              PatternTiles[C]);
-    W.fieldRaw("pattern_tiles", T.str());
-  }
   return W.str();
 }
 
@@ -320,9 +311,6 @@ ServeResponse Service::executeInner(const ServeRequest &R,
   Resp.SimdUtil = Result->SimdUtil;
   Resp.MeanD1 = Result->MeanD1;
   Resp.EdgesProcessed = Result->EdgesProcessed;
-  Resp.PatternMode = Result->PatternModeName;
-  for (int C = 0; C < 5; ++C)
-    Resp.PatternTiles[C] = Result->PatternTiles[C];
 
   if (Result->TimedOut)
     return fail(Status::error(ErrorCode::DeadlineExceeded,

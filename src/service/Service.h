@@ -82,13 +82,6 @@ struct ServeResponse {
   double SimdUtil = 1.0;
   double MeanD1 = 0.0;
 
-  /// Pattern-classification telemetry (mirrors cfv_run --json):
-  /// resolved mode name ("off" | "classify-only" | "on") and the static
-  /// tile-class mix in pattern::TileClass order.  All-zero counts mean
-  /// the app did not classify (mode off, or a non-tiled version ran).
-  std::string PatternMode;
-  int64_t PatternTiles[5] = {};
-
   /// Telemetry: seconds queued, loading the dataset (0 exactly on a
   /// cache hit), materializing shared schedules, and in the kernel.
   double QueueSeconds = 0.0;

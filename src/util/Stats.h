@@ -35,13 +35,6 @@ public:
 
   void add(unsigned Lanes) { ++Counts[Lanes < kSlots ? Lanes : kSlots - 1]; }
 
-  /// Bulk form: \p Times passes that all carried \p Lanes useful lanes
-  /// (pattern dispatch tallies a whole tile in O(1) instead of one call
-  /// per vector).
-  void add(unsigned Lanes, uint64_t Times) {
-    Counts[Lanes < kSlots ? Lanes : kSlots - 1] += Times;
-  }
-
   uint64_t count(unsigned Slot) const {
     return Slot < kSlots ? Counts[Slot] : 0;
   }

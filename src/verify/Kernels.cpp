@@ -15,13 +15,9 @@
 #include "core/InvecReduce.h"
 #include "core/Variant.h"
 #include "masking/ConflictMask.h"
-#include "pattern/Classify.h"
-#include "pattern/Dispatch.h"
 #include "simd/Backend.h"
 #include "simd/Ops.h"
 #include "simd/Traits.h"
-
-#include <algorithm>
 
 namespace cfv {
 namespace verify {
@@ -39,8 +35,6 @@ const char *pipelineName(Pipeline P) {
     return "masking";
   case Pipeline::Adaptive:
     return "adaptive";
-  case Pipeline::Pattern:
-    return "pattern";
   }
   return "unknown";
 }
@@ -184,32 +178,6 @@ void adaptiveChunk(const int32_t *Idx, const T *Val, int64_t N, T *Out,
     Red.mergeInto(Out);
 }
 
-template <typename Op, typename T>
-void patternChunk(const int32_t *Idx, const T *Val, int64_t N, T *Out,
-                  InjectedBug Bug) {
-  using V = simd::VecForT<T, B>;
-  const int64_t End = effectiveLen(N, Bug);
-  // Small pseudo-tiles so even the short generated streams span several
-  // tiles (and tile-boundary coverage); classification is over exactly
-  // the range this chunk dispatches, so the per-window certification
-  // holds regardless of how runTyped sliced the stream.
-  const pattern::PatternResult P =
-      pattern::classifyStream(Idx, End, /*TileLen=*/64);
-  const pattern::DenseSink<Op, T> Sink(Out);
-  for (int64_t Tile = 0; Tile < P.numTiles(); ++Tile) {
-    const int64_t Lo = Tile * P.TileLen;
-    const int64_t Hi = std::min<int64_t>(End, Lo + P.TileLen);
-    const auto Payload = [&](Mask16 Active, int64_t I) {
-      return V::maskLoad(V::broadcast(Op::template identity<T>()), Active,
-                         Val + Lo + I);
-    };
-    if (!pattern::runTileSpecialized<Op, T, B>(
-            P.Tiles[static_cast<size_t>(Tile)], Idx + Lo, Hi - Lo, Payload,
-            Sink))
-      invec1Chunk<Op>(Idx + Lo, Val + Lo, Hi - Lo, Out, Bug);
-  }
-}
-
 /// Chunked privatized execution: identity-filled private arrays merged in
 /// chunk order, the same shape the ParallelEngine gives each worker.
 template <typename Op, typename T>
@@ -241,9 +209,6 @@ AlignedVector<T> runTyped(Pipeline P, const CaseSpec &Spec,
       break;
     case Pipeline::Adaptive:
       adaptiveChunk<Op>(Idx + Lo, Val + Lo, Hi - Lo, Priv.data(), U, Bug);
-      break;
-    case Pipeline::Pattern:
-      patternChunk<Op>(Idx + Lo, Val + Lo, Hi - Lo, Priv.data(), Bug);
       break;
     }
     for (int32_t I = 0; I < U; ++I)

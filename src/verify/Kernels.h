@@ -38,11 +38,9 @@ enum class Pipeline {
   Invec1,  ///< block loop + invecReduce (Algorithm 1) + scatter
   Invec2,  ///< invecReduce2 two-subset protocol + mergeAux (Algorithm 2)
   Masking, ///< conflict-masking retry loop (maskedStreamLoop)
-  Adaptive,///< AdaptiveReducer policy (Alg1 window, may commit to Alg2)
-  Pattern  ///< classify small pseudo-tiles, dispatch class kernels
-           ///< (pattern::runTileSpecialized), General tiles -> Alg1
+  Adaptive ///< AdaptiveReducer policy (Alg1 window, may commit to Alg2)
 };
-constexpr int kNumPipelines = 5;
+constexpr int kNumPipelines = 4;
 const char *pipelineName(Pipeline P);
 
 /// Associative operators exercised.  Add is inexact under reassociation

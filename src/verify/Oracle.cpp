@@ -386,58 +386,6 @@ std::optional<OracleFailure> checkSystem(const Workload &W,
     }
   }
 
-  // Pattern on-vs-off leg: the specialized per-class kernels must be
-  // numerically interchangeable with the adaptive path they replace, on
-  // every backend, over the same lifted graph.
-  for (AppId App : {AppId::PageRank, AppId::Spmv}) {
-    for (core::BackendChoice BC : BackendChoices) {
-      AppResult Runs[2];
-      for (int OnPass = 0; OnPass < 2; ++OnPass) {
-        AppRequest R;
-        R.App = App;
-        R.Version = AppVersion::Invec;
-        R.Options.Backend = BC;
-        R.Options.Threads = 1;
-        R.Options.MaxIterations = App == AppId::PageRank ? 3 : 0;
-        R.Options.Pattern =
-            OnPass ? core::PatternMode::On : core::PatternMode::Off;
-        R.Graph = &G;
-        R.Source = 0;
-        Expected<AppResult> Res = cfv::run(R);
-        const std::string Tag =
-            std::string(appIdName(App)) + "/invec+pattern";
-        if (!Res)
-          return systemFailure(W, Tag, "pattern",
-                               "pattern on/off run rejected: " +
-                                   Res.status().message());
-        Runs[OnPass] = std::move(*Res);
-      }
-      const std::string Tag = std::string(appIdName(App)) + "/" +
-                              Runs[1].VersionName + "+pattern";
-      if (Runs[1].Values.size() != Runs[0].Values.size())
-        return systemFailure(W, Tag, "pattern",
-                             "pattern=on result size disagrees with "
-                             "pattern=off");
-      for (size_t I = 0; I < Runs[1].Values.size(); ++I) {
-        if (!systemValuesAgree(Runs[1].Values[I], Runs[0].Values[I],
-                               /*Exact=*/false)) {
-          OracleFailure F = systemFailure(
-              W, Tag, "pattern",
-              "pattern=on values disagree with pattern=off");
-          F.Slot = static_cast<int64_t>(I);
-          F.Want = Runs[0].Values[I];
-          F.Got = Runs[1].Values[I];
-          if (!O.CorpusDir.empty()) {
-            const std::string Path = corpusPathFor(O, F);
-            if (writeCorpus(Path, W).ok())
-              F.CorpusPath = Path;
-          }
-          return F;
-        }
-      }
-    }
-  }
-
   // Out-of-core leg, armed by CFV_MAP_BYTES like the production path it
   // verifies: the same graph streamed from the CFVM backing must match
   // the in-core serial reference bit-for-bit at one thread (identical
@@ -716,8 +664,7 @@ std::string OracleFailure::toJson() const {
 std::optional<OracleFailure> checkWorkload(const Workload &W,
                                            const OracleOptions &O) {
   // The classifier check is one scan; it runs for every enabled tier
-  // combination since both the kernel and system tiers trust the
-  // classes it assigns.
+  // combination.
   if (auto F = checkClassifier(W, O))
     return F;
   if (O.KernelTier)

@@ -6,14 +6,13 @@
 //                 std::map reference every workload is tagged with at
 //                 generation time (always on -- one scan);
 //   kernel tier   every compiled backend x {invec-alg1, invec-alg2,
-//                 masking, adaptive, pattern} x {1, N} privatized chunks
-//                 against a scalar double-precision reference, for float
-//                 add (ULP budget scaled by reduction depth), float
-//                 min/max (exact), and int32 add/min/max (exact);
+//                 masking, adaptive} x {1, N} privatized chunks against a
+//                 scalar double-precision reference, for float add (ULP
+//                 budget scaled by reduction depth), float min/max
+//                 (exact), and int32 add/min/max (exact);
 //   system tier   cfv::run over the same stream lifted to a SNAP graph:
 //                 every version x backend x thread count of pagerank,
-//                 sssp, and spmv against the serial scalar run, plus a
-//                 pattern on-vs-off equivalence leg for pagerank/spmv;
+//                 sssp, and spmv against the serial scalar run;
 //   service tier  the stream written as a SNAP file and served twice by
 //                 service::Service -- cold then cached -- asserting both
 //                 runs agree with the direct facade call.

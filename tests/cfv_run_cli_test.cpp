@@ -185,9 +185,7 @@ TEST(CfvRunCli, TraceFlagToUnwritablePathFails) {
 TEST(CfvRunCli, MetricsFlagDumpsPrometheusToStderr) {
   const std::string G = writeTinyGraph();
   const std::string Err = ::testing::TempDir() + "cfv_cli_metrics.txt";
-  // Pattern dispatch off: the D1 histogram this test pins is recorded
-  // by the in-vector reduction, which the specialized kernels bypass.
-  const std::string Cmd = std::string("CFV_PATTERN=off \"") + CFV_RUN_BIN +
+  const std::string Cmd = std::string("\"") + CFV_RUN_BIN +
                           "\" pagerank" + " --file " + G +
                           " --iters 3 --version invec --metrics" +
                           " >/dev/null 2>" + Err;

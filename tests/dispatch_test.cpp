@@ -14,10 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Dispatch.h"
-#include "core/InvecReduce.h"
 #include "graph/Generators.h"
-#include "pattern/Classify.h"
-#include "pattern/Dispatch.h"
 #include "util/Status.h"
 #include "workload/KeyGen.h"
 
@@ -261,180 +258,6 @@ TEST_F(DispatchTest, SpmvAgreesAcrossBackends) {
     for (std::size_t I = 0; I < A.Y.size(); ++I)
       ASSERT_NEAR(A.Y[I], B.Y[I], 1e-4f * (1.0f + std::abs(A.Y[I])));
   }
-}
-
-namespace {
-
-/// Streams forced into each specialized tile class (see
-/// pattern_classifier_test.cpp for the classification-side assertions).
-AlignedVector<int32_t> classStream(pattern::TileClass C, int64_t N) {
-  AlignedVector<int32_t> Idx(static_cast<size_t>(N));
-  for (int64_t I = 0; I < N; ++I) {
-    int32_t X = 0;
-    switch (C) {
-    case pattern::TileClass::ConflictFree:
-      X = static_cast<int32_t>(I % 16);
-      break;
-    case pattern::TileClass::Monotone:
-      X = static_cast<int32_t>(I / 3);
-      break;
-    case pattern::TileClass::SmallAlphabet: {
-      static const int32_t Alpha[5] = {3, 9, 1, 7, 5};
-      X = Alpha[I % 5];
-      break;
-    }
-    case pattern::TileClass::HotBucket:
-      X = (I % 5 < 3) ? 7 : static_cast<int32_t>(20 + (I * 7) % 60);
-      break;
-    case pattern::TileClass::General:
-      X = static_cast<int32_t>((I / 2 * 7) % 24);
-      break;
-    }
-    Idx[static_cast<size_t>(I)] = X;
-  }
-  return Idx;
-}
-
-/// One specialized-kernel pass at backend \p B's lane width.
-template <typename Op, typename B>
-AlignedVector<float> runPatternTile(const AlignedVector<int32_t> &Idx,
-                                    const AlignedVector<float> &Val,
-                                    int32_t U) {
-  const int64_t N = static_cast<int64_t>(Idx.size());
-  const pattern::TileInfo Info = pattern::classifyRange(Idx.data(), N);
-  AlignedVector<float> Out(static_cast<size_t>(U));
-  core::fillIdentity<Op>(Out.data(), Out.size());
-  const pattern::DenseSink<Op, float> Sink(Out.data());
-  using V = simd::VecForT<float, B>;
-  const float *Vp = Val.data();
-  const auto Payload = [&](simd::Mask16 Active, int64_t I) {
-    return V::maskLoad(V::broadcast(Op::template identity<float>()), Active,
-                       Vp + I);
-  };
-  const bool Handled = pattern::runTileSpecialized<Op, float, B>(
-      Info, Idx.data(), N, Payload, Sink);
-  EXPECT_TRUE(Handled);
-  return Out;
-}
-
-} // namespace
-
-/// Each specialized pattern kernel must produce the same answer at every
-/// compiled lane width: 16-lane scalar emulation vs. 8-lane AVX2 vs.
-/// 16-lane AVX-512 intrinsics, including the non-lane-multiple tail.
-TEST_F(DispatchTest, PatternKernelsAgreeAcrossBackends) {
-  using S = simd::backend::Scalar;
-  constexpr pattern::TileClass Specialized[] = {
-      pattern::TileClass::ConflictFree, pattern::TileClass::Monotone,
-      pattern::TileClass::SmallAlphabet, pattern::TileClass::HotBucket};
-  const int32_t U = 96;
-  for (const int64_t N : {64L, 160L, 163L, 13L}) {
-    const auto Vals = workload::genValues(N, 99);
-    for (const pattern::TileClass C : Specialized) {
-      SCOPED_TRACE(std::string(pattern::tileClassName(C)) + " n=" +
-                   std::to_string(N));
-      const auto Idx = classStream(C, N);
-
-      // In-order scalar reference: the specialized kernels may only
-      // reassociate, never drop or double-count.
-      std::vector<double> Ref(static_cast<size_t>(U), 0.0);
-      for (int64_t I = 0; I < N; ++I)
-        Ref[static_cast<size_t>(Idx[static_cast<size_t>(I)])] +=
-            static_cast<double>(Vals[static_cast<size_t>(I)]);
-
-      const auto CheckRef = [&](const AlignedVector<float> &Got) {
-        for (int32_t I = 0; I < U; ++I)
-          ASSERT_NEAR(Got[static_cast<size_t>(I)],
-                      static_cast<float>(Ref[static_cast<size_t>(I)]),
-                      1e-4f * (1.0f +
-                               std::abs(static_cast<float>(
-                                   Ref[static_cast<size_t>(I)]))))
-              << "slot " << I;
-      };
-      const auto Scalar = runPatternTile<simd::OpAdd, S>(Idx, Vals, U);
-      CheckRef(Scalar);
-#if CFV_HAVE_AVX2
-      if (core::avx2Available())
-        CheckRef(runPatternTile<simd::OpAdd, simd::backend::Avx2>(Idx, Vals,
-                                                                  U));
-#endif
-#if CFV_HAVE_AVX512
-      if (core::avx512Available())
-        CheckRef(runPatternTile<simd::OpAdd, simd::backend::Avx512>(
-            Idx, Vals, U));
-#endif
-    }
-  }
-}
-
-/// Min is exact under any association, so the backends must agree
-/// bit-for-bit -- this pins the identity-lane handling (inactive lanes
-/// and the expand/blend paths must contribute Op identity, not zero).
-TEST_F(DispatchTest, PatternKernelsMinExactAcrossBackends) {
-  using S = simd::backend::Scalar;
-  const int32_t U = 96;
-  const int64_t N = 157;
-  const auto Vals = workload::genValues(N, 17);
-  for (const pattern::TileClass C :
-       {pattern::TileClass::ConflictFree, pattern::TileClass::Monotone,
-        pattern::TileClass::SmallAlphabet, pattern::TileClass::HotBucket}) {
-    SCOPED_TRACE(pattern::tileClassName(C));
-    const auto Idx = classStream(C, N);
-    const auto Scalar = runPatternTile<simd::OpMin, S>(Idx, Vals, U);
-    std::vector<float> Ref(static_cast<size_t>(U),
-                           simd::OpMin::identity<float>());
-    for (int64_t I = 0; I < N; ++I)
-      Ref[static_cast<size_t>(Idx[static_cast<size_t>(I)])] = std::min(
-          Ref[static_cast<size_t>(Idx[static_cast<size_t>(I)])],
-          Vals[static_cast<size_t>(I)]);
-    for (int32_t I = 0; I < U; ++I)
-      ASSERT_EQ(Scalar[static_cast<size_t>(I)], Ref[static_cast<size_t>(I)])
-          << "slot " << I;
-#if CFV_HAVE_AVX2
-    if (core::avx2Available()) {
-      const auto A2 =
-          runPatternTile<simd::OpMin, simd::backend::Avx2>(Idx, Vals, U);
-      for (int32_t I = 0; I < U; ++I)
-        ASSERT_EQ(A2[static_cast<size_t>(I)], Scalar[static_cast<size_t>(I)])
-            << "slot " << I;
-    }
-#endif
-#if CFV_HAVE_AVX512
-    if (core::avx512Available()) {
-      const auto A5 =
-          runPatternTile<simd::OpMin, simd::backend::Avx512>(Idx, Vals, U);
-      for (int32_t I = 0; I < U; ++I)
-        ASSERT_EQ(A5[static_cast<size_t>(I)], Scalar[static_cast<size_t>(I)])
-            << "slot " << I;
-    }
-#endif
-  }
-}
-
-/// The router's contract: General tiles come back unhandled (the caller
-/// keeps its adaptive path) but are still tallied for observability.
-TEST_F(DispatchTest, PatternRouterRejectsGeneralButTallies) {
-  using S = simd::backend::Scalar;
-  const int64_t N = 67; // 4 full scalar vectors + a 3-lane tail
-  const auto Idx = classStream(pattern::TileClass::General, N);
-  const pattern::TileInfo Info = pattern::classifyRange(Idx.data(), N);
-  ASSERT_EQ(Info.Class, pattern::TileClass::General);
-  AlignedVector<float> Out(96, 0.0f);
-  const pattern::DenseSink<simd::OpAdd, float> Sink(Out.data());
-  pattern::DispatchCounts Counts;
-  const auto Payload = [&](simd::Mask16, int64_t) {
-    return simd::VecF32<S>::zero();
-  };
-  const bool Handled = pattern::runTileSpecialized<simd::OpAdd, float, S>(
-      Info, Idx.data(), N, Payload, Sink, &Counts);
-  EXPECT_FALSE(Handled);
-  const int G = static_cast<int>(pattern::TileClass::General);
-  EXPECT_EQ(Counts.Tiles[G], 1);
-  EXPECT_EQ(Counts.Vectors[G], 5);
-  EXPECT_EQ(Counts.LaneWidth, 16);
-  // Untouched: General routing must not write through the sink.
-  for (float V : Out)
-    EXPECT_EQ(V, 0.0f);
 }
 
 TEST_F(DispatchTest, MeshAgreesAcrossBackends) {

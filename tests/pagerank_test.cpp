@@ -130,12 +130,7 @@ TEST(PageRank, HotspotGraphTriggersAlg2) {
     G.Src.push_back(static_cast<int32_t>(Rng.nextBounded(16)));
     G.Dst.push_back(static_cast<int32_t>(Rng.nextBounded(2)));
   }
-  // This pins the *adaptive* policy, so the pattern dispatcher must sit
-  // out: a 2-destination stream classifies SmallAlphabet and would be
-  // folded in registers before the Alg1/Alg2 machinery ever saw it.
-  PageRankOptions O;
-  O.Pattern = core::PatternMode::Off;
-  const PageRankResult R = runPageRank(G, PrVersion::TilingInvec, O);
+  const PageRankResult R = runPageRank(G, PrVersion::TilingInvec);
   EXPECT_GT(R.MeanD1, 1.0);
   EXPECT_TRUE(R.UsedAlg2);
 }

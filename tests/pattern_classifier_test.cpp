@@ -7,11 +7,13 @@
 // The per-tile index-stream classifier (src/pattern/): intended classes
 // for handcrafted streams, agreement with the verify harness's naive
 // reference over every generator family and tail residue, pseudo-tile
-// segmentation, mode resolution, and the per-tile statistics the
-// dispatcher's cost model reads.
+// segmentation, the per-tile statistics, and the two whole-dataset entry
+// points (classifyTiling over an inspector schedule and
+// PreparedGraph::streamPattern).
 //
 //===----------------------------------------------------------------------===//
 
+#include "graph/Prepared.h"
 #include "pattern/Classify.h"
 #include "verify/Gen.h"
 
@@ -209,19 +211,6 @@ TEST(PatternClassifier, TileStatistics) {
   EXPECT_EQ(C.D1Estimate, 0.0f);
 }
 
-TEST(PatternClassifier, ModeResolution) {
-  EXPECT_EQ(pattern::resolveMode(core::PatternMode::Off),
-            pattern::Mode::Off);
-  EXPECT_EQ(pattern::resolveMode(core::PatternMode::ClassifyOnly),
-            pattern::Mode::ClassifyOnly);
-  EXPECT_EQ(pattern::resolveMode(core::PatternMode::On), pattern::Mode::On);
-  // Env defers to CFV_PATTERN (cached); whatever it resolves to must be
-  // one of the three concrete modes.
-  const pattern::Mode M = pattern::resolveMode(core::PatternMode::Env);
-  EXPECT_TRUE(M == pattern::Mode::Off || M == pattern::Mode::ClassifyOnly ||
-              M == pattern::Mode::On);
-}
-
 TEST(PatternClassifier, ClassNamesAreStable) {
   // Metric label / JSON field names: renames break dashboards.
   EXPECT_STREQ(pattern::tileClassName(TileClass::ConflictFree),
@@ -231,8 +220,116 @@ TEST(PatternClassifier, ClassNamesAreStable) {
                "small_alphabet");
   EXPECT_STREQ(pattern::tileClassName(TileClass::HotBucket), "hot_bucket");
   EXPECT_STREQ(pattern::tileClassName(TileClass::General), "general");
-  EXPECT_STREQ(pattern::modeName(pattern::Mode::Off), "off");
-  EXPECT_STREQ(pattern::modeName(pattern::Mode::ClassifyOnly),
-               "classify-only");
-  EXPECT_STREQ(pattern::modeName(pattern::Mode::On), "on");
+}
+
+namespace {
+
+void expectSameInfo(const pattern::TileInfo &Got,
+                    const pattern::TileInfo &Want) {
+  EXPECT_EQ(Got.Class, Want.Class);
+  EXPECT_EQ(Got.Distinct, Want.Distinct);
+  EXPECT_EQ(Got.MaxRun, Want.MaxRun);
+  EXPECT_EQ(Got.D1Estimate, Want.D1Estimate);
+  EXPECT_EQ(Got.HotIdx, Want.HotIdx);
+  EXPECT_EQ(Got.HotShare, Want.HotShare);
+  ASSERT_EQ(Got.AlphabetSize, Want.AlphabetSize);
+  for (int I = 0; I < Got.AlphabetSize; ++I)
+    EXPECT_EQ(Got.Alphabet[I], Want.Alphabet[I]);
+}
+
+void expectSameResult(const pattern::PatternResult &Got,
+                      const pattern::PatternResult &Want) {
+  EXPECT_EQ(Got.BlockBits, Want.BlockBits);
+  EXPECT_EQ(Got.TileLen, Want.TileLen);
+  for (int C = 0; C < pattern::kNumTileClasses; ++C)
+    EXPECT_EQ(Got.Counts[C], Want.Counts[C]) << "class " << C;
+  ASSERT_EQ(Got.numTiles(), Want.numTiles());
+  for (int64_t T = 0; T < Got.numTiles(); ++T) {
+    SCOPED_TRACE("tile " + std::to_string(T));
+    expectSameInfo(Got.Tiles[static_cast<size_t>(T)],
+                   Want.Tiles[static_cast<size_t>(T)]);
+  }
+}
+
+constexpr int kTileBits = 4; // 16 destinations per tile
+
+/// 40 nodes, so three destination tiles of 16, 16 and 8 nodes.  Tile 0
+/// holds 4000 conflict-free edges, tile 1 4000 monotone ones and tile 2
+/// a short run of 7 over two targets.  The tiles' edges are interleaved
+/// in edge order, so the inspector's permutation has real work to undo;
+/// the first 4096 sources rise and the rest repeat in pairs over a
+/// 24-value cycle, so the flat source stream spans two differently shaped
+/// pseudo-tiles.
+graph::EdgeList threeTileGraph() {
+  std::vector<int32_t> Tiles[3];
+  for (int32_t I = 0; I < 4000; ++I) {
+    Tiles[0].push_back(I % 16);
+    Tiles[1].push_back(16 + I * 16 / 4000);
+  }
+  for (int32_t I = 0; I < 7; ++I)
+    Tiles[2].push_back(32 + I % 2);
+  graph::EdgeList G;
+  G.NumNodes = 40;
+  for (size_t I = 0; I < 4000; ++I)
+    for (const std::vector<int32_t> &T : Tiles)
+      if (I < T.size())
+        G.Dst.push_back(T[I]);
+  for (int64_t E = 0; E < static_cast<int64_t>(G.Dst.size()); ++E)
+    G.Src.push_back(E < 4096 ? static_cast<int32_t>(E / 103)
+                             : static_cast<int32_t>((E / 2 * 7) % 24));
+  return G;
+}
+
+} // namespace
+
+TEST(PatternClassifier, TilingMatchesRangeOnEveryPermutedTile) {
+  const graph::EdgeList G = threeTileGraph();
+  const inspector::TilingResult T = inspector::tileByDestination(
+      G.Dst.data(), G.numEdges(), G.NumNodes, kTileBits);
+  ASSERT_EQ(T.numTiles(), 3);
+  ASSERT_EQ(T.TileBegin[3] - T.TileBegin[2], 7); // the short last tile
+
+  const pattern::PatternResult P = pattern::classifyTiling(T, G.Dst.data());
+  EXPECT_EQ(P.BlockBits, kTileBits);
+  EXPECT_EQ(P.TileLen, 0);
+  ASSERT_EQ(P.numTiles(), 3);
+
+  // Reference: materialize the tiled stream, classify each tile as a
+  // plain range.
+  const AlignedVector<int32_t> Tiled =
+      inspector::applyPermutation(T.Order, G.Dst.data());
+  pattern::PatternResult Want;
+  Want.BlockBits = kTileBits;
+  for (int64_t I = 0; I < T.numTiles(); ++I) {
+    const int64_t Lo = T.TileBegin[static_cast<size_t>(I)];
+    const int64_t Hi = T.TileBegin[static_cast<size_t>(I) + 1];
+    Want.Tiles.push_back(pattern::classifyRange(Tiled.data() + Lo, Hi - Lo));
+    ++Want.Counts[static_cast<int>(Want.Tiles.back().Class)];
+  }
+  expectSameResult(P, Want);
+  // The three tiles were built to land in three different classes.
+  EXPECT_EQ(P.Tiles[0].Class, TileClass::ConflictFree);
+  EXPECT_EQ(P.Tiles[1].Class, TileClass::Monotone);
+  EXPECT_EQ(P.Tiles[2].Class, TileClass::SmallAlphabet);
+}
+
+TEST(PatternClassifier, StreamPatternClassifiesSourcesOnce) {
+  graph::EdgeList G = threeTileGraph();
+  const pattern::PatternResult Want =
+      pattern::classifyStream(G.Src.data(), G.numEdges());
+  ASSERT_EQ(Want.numTiles(), 2);
+  EXPECT_EQ(Want.Tiles[0].Class, TileClass::Monotone);
+  EXPECT_EQ(Want.Tiles[1].Class, TileClass::General);
+
+  const graph::PreparedGraph Prep(std::move(G));
+  const int64_t Before = Prep.approxBytes();
+  const pattern::PatternResult &P = Prep.streamPattern();
+  expectSameResult(P, Want);
+  EXPECT_EQ(Prep.approxBytes(), Before + P.approxBytes());
+  EXPECT_GT(Prep.approxBytes(), Before);
+
+  // Memoized: the second call hands back the same object and adds no
+  // bytes.
+  EXPECT_EQ(&Prep.streamPattern(), &P);
+  EXPECT_EQ(Prep.approxBytes(), Before + P.approxBytes());
 }

@@ -72,8 +72,6 @@ const MetricSpec kMetrics[] = {
     {"cold_seconds", true},
     {"warm_seconds", true},
     {"seconds", true},
-    {"pattern_ns_per_elem", true},
-    {"adaptive_ns_per_elem", true},
     {"ns_per_element", true},
     {"requests_per_second", false},
     {"speedup", false},

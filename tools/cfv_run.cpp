@@ -32,7 +32,6 @@
 #include "graph/Io.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "pattern/Pattern.h"
 #include "service/Json.h"
 #include "util/Prng.h"
 #include "util/Timer.h"
@@ -88,14 +87,10 @@ namespace {
       "  --threads <n>        worker threads for the parallel engine\n"
       "                       (n >= 1; 0 = all hardware threads; default:\n"
       "                       CFV_THREADS, else 1)\n"
-      "  --pattern <m>        off | classify-only | on: per-tile index-\n"
-      "                       stream classification + specialized kernel\n"
-      "                       dispatch for the invec versions (default:\n"
-      "                       CFV_PATTERN, else on)\n"
       "  --numa <m>           off | auto | interleave: NUMA-sharded tile\n"
       "                       assignment, worker pinning, and the\n"
       "                       two-level merge (default: CFV_NUMA, else\n"
-      "                       off; single-node machines run flat either\n"
+      "                       auto; single-node machines run flat either\n"
       "                       way unless CFV_NUMA_TOPOLOGY fakes nodes)\n"
       "  --json               emit one JSON object instead of the report\n"
       "\n"
@@ -120,7 +115,6 @@ namespace {
       "environment:\n"
       "  CFV_BACKEND=<b>      backend override (see --backend)\n"
       "  CFV_THREADS=<n>      worker thread default (see --threads)\n"
-      "  CFV_PATTERN=<m>      pattern-subsystem default (see --pattern)\n"
       "  CFV_NUMA=<m>         NUMA-sharding default (see --numa)\n"
       "  CFV_NUMA_TOPOLOGY=<spec>  synthetic topology, one cpulist per\n"
       "                       node ('0-3;4-7')\n"
@@ -162,7 +156,6 @@ struct Options {
   int64_t Cardinality = 65536;
   uint64_t Seed = 0xCF5EEDULL;
   core::BackendChoice Backend = core::BackendChoice::Auto;
-  core::PatternMode Pattern = core::PatternMode::Env;
   core::NumaChoice Numa = core::NumaChoice::Env;
   bool Json = false;
   std::string TraceFile; ///< empty = tracing stays off
@@ -260,21 +253,6 @@ Options parseArgs(int Argc, char **Argv) {
         usage(2);
       }
       O.Threads = N == 0 ? core::hardwareThreads() : static_cast<int>(N);
-    } else if (Arg == "--pattern") {
-      const std::string P = Value();
-      if (P == "off")
-        O.Pattern = core::PatternMode::Off;
-      else if (P == "classify-only" || P == "classify_only")
-        O.Pattern = core::PatternMode::ClassifyOnly;
-      else if (P == "on")
-        O.Pattern = core::PatternMode::On;
-      else {
-        std::fprintf(stderr,
-                     "error: --pattern needs off|classify-only|on, got "
-                     "'%s'\n",
-                     P.c_str());
-        usage(2);
-      }
     } else if (Arg == "--numa") {
       const std::string N = Value();
       if (N == "off")
@@ -368,20 +346,13 @@ void printJson(const AppResult &R, double LoadSeconds) {
               "\"prep_seconds\":%.6f,"
               "\"simd_util\":%.4f,\"mean_d1\":%.4f,"
               "\"edges_processed\":%lld,\"checksum\":%.8g,"
-              "\"numa_nodes\":%d,\"used_mapped_csr\":%s,"
-              "\"pattern_mode\":\"%s\",\"pattern_tiles\":{",
+              "\"numa_nodes\":%d,\"used_mapped_csr\":%s}\n",
               appIdName(R.App), R.VersionName.c_str(),
               core::backendName(R.Backend), R.Threads, R.Iterations,
               LoadSeconds, R.ComputeSeconds, R.PrepSeconds, R.SimdUtil,
               R.MeanD1, static_cast<long long>(R.EdgesProcessed),
               resultChecksum(R), R.NumaNodes,
-              R.UsedMappedCsr ? "true" : "false",
-              R.PatternModeName.c_str());
-  for (int C = 0; C < pattern::kNumTileClasses; ++C)
-    std::printf("%s\"%s\":%lld", C ? "," : "",
-                pattern::tileClassName(static_cast<pattern::TileClass>(C)),
-                static_cast<long long>(R.PatternTiles[C]));
-  std::printf("}}\n");
+              R.UsedMappedCsr ? "true" : "false");
 }
 
 void printReport(const AppResult &R) {
@@ -396,19 +367,6 @@ void printReport(const AppResult &R) {
     std::printf("  simd_util %.2f%%\n", R.SimdUtil * 100.0);
   if (R.MeanD1 > 0.0)
     std::printf("  mean D1 %.4f\n", R.MeanD1);
-  int64_t PatTotal = 0;
-  for (int C = 0; C < pattern::kNumTileClasses; ++C)
-    PatTotal += R.PatternTiles[C];
-  if (PatTotal > 0) {
-    std::printf("  pattern (%s):", R.PatternModeName.c_str());
-    for (int C = 0; C < pattern::kNumTileClasses; ++C)
-      if (R.PatternTiles[C])
-        std::printf(" %s %lld",
-                    pattern::tileClassName(
-                        static_cast<pattern::TileClass>(C)),
-                    static_cast<long long>(R.PatternTiles[C]));
-    std::printf("\n");
-  }
   switch (R.App) {
   case AppId::Moldyn:
     std::printf("  %d atoms, %lld pairs\n", R.Moldyn.Atoms,
@@ -467,7 +425,6 @@ int main(int Argc, char **Argv) {
   R.Version = *Version;
   R.Options.Backend = O.Backend;
   R.Options.Threads = O.Threads;
-  R.Options.Pattern = O.Pattern;
   R.Options.Numa = O.Numa;
   if (O.Iters > 0)
     R.Options.MaxIterations = O.Iters;
