@@ -57,11 +57,6 @@ run() {
 
 run "$BUILD"/bench/serve_throughput "${CFV_BENCH_REQUESTS:-120}"
 
-# NUMA shard-vs-flat contrast under synthetic 2/4-node topologies plus
-# the in-core-vs-mapped (out-of-core CFVM) contrast; see
-# bench/scale_numa.cpp for the row vocabulary.
-run "$BUILD"/bench/scale_numa
-
 # Multi-client serving percentiles: N concurrent TCP clients pipelining
 # warm same-dataset requests through the epoll front-end, reporting
 # p50/p95/p99 latency and throughput over OK replies, and the requests

@@ -9,7 +9,6 @@
 #include "core/InvecReduce.h"
 #include "core/ParallelEngine.h"
 #include "graph/Frontier.h"
-#include "graph/MappedCsr.h"
 #include "inspector/Grouping.h"
 #include "inspector/Tiling.h"
 #include "masking/ConflictMask.h"
@@ -139,18 +138,13 @@ struct ActiveEdges {
   int64_t size() const { return static_cast<int64_t>(Src.size()); }
 };
 
-/// Gathers the outgoing edges of every frontier vertex.  Works off a
-/// CsrView so an in-core Csr and the mmap'd CSR sections of a MappedCsr
-/// expand through the same loop; \p Mapped (may be null) receives
-/// residency advice for each row about to stream.
-void expand(const graph::CsrView &Adj, const graph::MappedCsr *Mapped,
-            const graph::Frontier &Cur, bool NeedsWeight, ActiveEdges &Out) {
+/// Gathers the outgoing edges of every frontier vertex.
+void expand(const graph::Csr &Adj, const graph::Frontier &Cur,
+            bool NeedsWeight, ActiveEdges &Out) {
   Out.clear();
   for (const int32_t V : Cur.vertices()) {
-    const int64_t Begin = Adj.RowBegin[V], End = Adj.RowBegin[V + 1];
-    if (Mapped)
-      Mapped->adviseCsrRange(Begin, End);
-    for (int64_t E = Begin; E < End; ++E) {
+    for (int64_t E = Adj.RowBegin[V], End = Adj.RowBegin[V + 1]; E < End;
+         ++E) {
       Out.Src.push_back(V);
       Out.Dst.push_back(Adj.Col[E]);
       if (NeedsWeight)
@@ -439,40 +433,18 @@ void mergeCandidates(std::vector<core::SpillListF> &Spills,
 template <typename Policy>
 FrontierResult runImpl(const graph::EdgeList &G, FrVersion V,
                        const FrontierOptions &O) {
+  assert((!Policy::NeedsWeight || G.isWeighted()) &&
+         "this application requires edge weights");
   FrontierResult R;
   const int32_t N = G.NumNodes;
-  // Out-of-core substitution: a compatible MappedCsr supplies both the
-  // CSR adjacency (exact buildCsr output, so expansion is bit-identical)
-  // and the original-order COO arrays the grouping inspector consumes;
-  // it also serves a hollow EdgeList whose edges live only in the
-  // mapping.
-  const graph::MappedCsr *Mapped = O.SharedMapped;
-  const bool UseMapped =
-      Mapped && Mapped->numNodes() == N &&
-      (G.numEdges() == 0 || G.numEdges() == Mapped->numEdges()) &&
-      (!Policy::NeedsWeight || Mapped->isWeighted());
-  assert((!Policy::NeedsWeight || G.isWeighted() || UseMapped) &&
-         "this application requires edge weights");
-  const int32_t *ESrc = UseMapped ? Mapped->edgeSrc() : G.Src.data();
-  const int32_t *EDst = UseMapped ? Mapped->edgeDst() : G.Dst.data();
-  const float *EWt = UseMapped ? Mapped->edgeWeight() : G.Weight.data();
-  const int64_t NumEdges = UseMapped ? Mapped->numEdges() : G.numEdges();
-  // Reuse a compatible precomputed adjacency (the mapped CSR sections,
-  // or PreparedGraph's through the cfv::run facade) instead of
-  // rebuilding CSR on every run.
-  const bool ShareCsr = !UseMapped && O.SharedCsr &&
-                        O.SharedCsr->NumNodes == N &&
+  // Reuse a compatible precomputed adjacency (PreparedGraph through the
+  // cfv::run facade) instead of rebuilding CSR on every run.
+  const bool ShareCsr = O.SharedCsr && O.SharedCsr->NumNodes == N &&
                         O.SharedCsr->numEdges() == G.numEdges();
   graph::Csr LocalAdj;
-  graph::CsrView Adj;
-  if (UseMapped) {
-    Adj = Mapped->csrView();
-  } else if (ShareCsr) {
-    Adj = graph::CsrView::of(*O.SharedCsr);
-  } else {
+  if (!ShareCsr)
     LocalAdj = graph::buildCsr(G);
-    Adj = graph::CsrView::of(LocalAdj);
-  }
+  const graph::Csr &Adj = ShareCsr ? *O.SharedCsr : LocalAdj;
 
   AlignedVector<float> Val(N), ValNew(N);
   for (int32_t I = 0; I < N; ++I)
@@ -496,16 +468,14 @@ FrontierResult runImpl(const graph::EdgeList &G, FrVersion V,
     WallTimer TT;
     const inspector::TilingResult *SharedTiling =
         O.SharedTiling && O.SharedTiling->BlockBits == O.TileBlockBits &&
-                static_cast<int64_t>(O.SharedTiling->Order.size()) == NumEdges
+                static_cast<int64_t>(O.SharedTiling->Order.size()) ==
+                    G.numEdges()
             ? O.SharedTiling
             : nullptr;
-    // The inspector reads the whole COO; prime the mapped window once.
-    if (UseMapped)
-      Mapped->adviseEdgeRange(0, NumEdges);
     inspector::TilingResult LocalTiling;
     if (!SharedTiling)
-      LocalTiling =
-          inspector::tileByDestination(EDst, NumEdges, N, O.TileBlockBits);
+      LocalTiling = inspector::tileByDestination(G.Dst.data(), G.numEdges(),
+                                                 N, O.TileBlockBits);
     const inspector::TilingResult &Tiling =
         SharedTiling ? *SharedTiling : LocalTiling;
     R.TilingSeconds = TT.seconds();
@@ -514,11 +484,11 @@ FrontierResult runImpl(const graph::EdgeList &G, FrVersion V,
                                      R.TilingSeconds);
     WallTimer TG;
     inspector::GroupingResult Grouping =
-        inspector::groupConflictFree(EDst, N, Tiling, kLanes);
-    GE.Src = inspector::applyGrouping(Grouping, ESrc, int32_t(0));
-    GE.Dst = inspector::applyGrouping(Grouping, EDst, int32_t(0));
+        inspector::groupConflictFree(G.Dst.data(), N, Tiling, kLanes);
+    GE.Src = inspector::applyGrouping(Grouping, G.Src.data(), int32_t(0));
+    GE.Dst = inspector::applyGrouping(Grouping, G.Dst.data(), int32_t(0));
     if (Policy::NeedsWeight)
-      GE.W = inspector::applyGrouping(Grouping, EWt, 0.0f);
+      GE.W = inspector::applyGrouping(Grouping, G.Weight.data(), 0.0f);
     GE.GroupMask = std::move(Grouping.GroupMask);
     GE.NumGroups = Grouping.NumGroups;
     R.GroupingSeconds = TG.seconds();
@@ -554,8 +524,7 @@ FrontierResult runImpl(const graph::EdgeList &G, FrVersion V,
                                     GroupEdges[Tid]);
         });
       } else {
-        expand(Adj, UseMapped ? Mapped : nullptr, Cur, Policy::NeedsWeight,
-               A);
+        expand(Adj, Cur, Policy::NeedsWeight, A);
         R.EdgesProcessed += A.size();
         const std::vector<int64_t> Bounds =
             core::chunkBounds(A.size(), NumThreads, kLanes);
@@ -584,8 +553,7 @@ FrontierResult runImpl(const graph::EdgeList &G, FrVersion V,
       if (V == FrVersion::TilingGrouping) {
         sweepGrouped<Policy>(GE, Cur, S, R.EdgesProcessed);
       } else {
-        expand(Adj, UseMapped ? Mapped : nullptr, Cur, Policy::NeedsWeight,
-               A);
+        expand(Adj, Cur, Policy::NeedsWeight, A);
         R.EdgesProcessed += A.size();
         switch (V) {
         case FrVersion::NontilingSerial:

@@ -465,7 +465,7 @@ void apps::detail::CFV_VARIANT_NS::MoldynKernels::run(MoldynSim &S,
   if (UseGroups)
     Bounds = core::chunkBounds(S.NumGroups, NumThreads, 1);
   else if (!S.TileBegin.empty())
-    Bounds = core::chunkBoundsFromTilesSharded(S.TileBegin, NumThreads);
+    Bounds = core::chunkBoundsFromTiles(S.TileBegin, NumThreads);
   else
     Bounds = core::chunkBounds(M, NumThreads, kLanes);
 

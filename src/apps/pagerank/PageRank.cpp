@@ -10,7 +10,6 @@
 #include "core/Backends.h"
 #include "core/ParallelEngine.h"
 #include "core/Variant.h"
-#include "graph/MappedCsr.h"
 #include "inspector/Grouping.h"
 #include "inspector/Tiling.h"
 #include "masking/ConflictMask.h"
@@ -67,14 +66,14 @@ struct PrState {
   AlignedVector<float> DegF; ///< out-degree as float (nneighbor)
 };
 
-PrState makeState(int32_t N, int64_t M, const int32_t *SrcPtr) {
+PrState makeState(const graph::EdgeList &G) {
   PrState S;
-  S.N = N;
-  S.M = M;
+  S.N = G.NumNodes;
+  S.M = G.numEdges();
   S.Rank.assign(S.N, 1.0f / static_cast<float>(S.N));
   S.Sum.assign(S.N, 0.0f);
   S.DegF.resize(S.N);
-  const AlignedVector<int32_t> Deg = graph::outDegrees(SrcPtr, M, N);
+  const AlignedVector<int32_t> Deg = graph::outDegrees(G);
   for (int32_t V = 0; V < S.N; ++V)
     S.DegF[V] = static_cast<float>(Deg[V]);
   return S;
@@ -209,20 +208,7 @@ PageRankResult apps::CFV_VARIANT_NS::runPageRank(const graph::EdgeList &G,
                                                  PrVersion V,
                                                  const PageRankOptions &O) {
   PageRankResult R;
-  // Out-of-core substitution: a compatible MappedCsr replaces the
-  // EdgeList COO arrays (same edges, same order -- bit-identical), and
-  // also serves a hollow EdgeList whose edges live only in the mapping.
-  const graph::MappedCsr *Mapped = O.SharedMapped;
-  const bool UseMapped =
-      Mapped && Mapped->numNodes() == G.NumNodes &&
-      (G.numEdges() == 0 || G.numEdges() == Mapped->numEdges());
-  const int32_t *ESrc = UseMapped ? Mapped->edgeSrc() : G.Src.data();
-  const int32_t *EDst = UseMapped ? Mapped->edgeDst() : G.Dst.data();
-  const int64_t NumEdges = UseMapped ? Mapped->numEdges() : G.numEdges();
-  // The degree pass streams the whole Src section once.
-  if (UseMapped)
-    Mapped->adviseEdgeRange(0, NumEdges);
-  PrState S = makeState(G.NumNodes, NumEdges, ESrc);
+  PrState S = makeState(G);
 
   // --- Inspector phases -------------------------------------------------
   AlignedVector<int32_t> TSrc, TDst;      // tiled edge order
@@ -243,14 +229,11 @@ PageRankResult apps::CFV_VARIANT_NS::runPageRank(const graph::EdgeList &G,
             : nullptr;
     inspector::TilingResult Local;
     if (!Shared)
-      Local = inspector::tileByDestination(EDst, S.M, S.N, O.TileBlockBits);
+      Local = inspector::tileByDestination(G.Dst.data(), S.M, S.N,
+                                           O.TileBlockBits);
     const inspector::TilingResult &Tiling = Shared ? *Shared : Local;
-    // The permutation gathers randomly across the mapped COO; prime the
-    // whole range once rather than faulting edge by edge.
-    if (UseMapped)
-      Mapped->adviseEdgeRange(0, S.M);
-    TSrc = inspector::applyPermutation(Tiling.Order, ESrc);
-    TDst = inspector::applyPermutation(Tiling.Order, EDst);
+    TSrc = inspector::applyPermutation(Tiling.Order, G.Src.data());
+    TDst = inspector::applyPermutation(Tiling.Order, G.Dst.data());
     TileBounds = Tiling.TileBegin;
     R.TilingSeconds = T.seconds();
     // Retroactive span from the same measurement the result reports, so
@@ -262,11 +245,11 @@ PageRankResult apps::CFV_VARIANT_NS::runPageRank(const graph::EdgeList &G,
     if (V == PrVersion::TilingGrouping) {
       WallTimer TG;
       inspector::GroupingResult Grouping =
-          inspector::groupConflictFree(EDst, S.N, Tiling, kLanes);
+          inspector::groupConflictFree(G.Dst.data(), S.N, Tiling, kLanes);
       // Padded lanes use vertex 0, which is always a valid gather target;
       // they are masked out of every store.
-      GSrc = inspector::applyGrouping(Grouping, ESrc, int32_t(0));
-      GDst = inspector::applyGrouping(Grouping, EDst, int32_t(0));
+      GSrc = inspector::applyGrouping(Grouping, G.Src.data(), int32_t(0));
+      GDst = inspector::applyGrouping(Grouping, G.Dst.data(), int32_t(0));
       GroupMask = std::move(Grouping.GroupMask);
       R.GroupingSeconds = TG.seconds();
       obs::Tracer::instance().recordAt(
@@ -275,8 +258,8 @@ PageRankResult apps::CFV_VARIANT_NS::runPageRank(const graph::EdgeList &G,
     }
   }
 
-  const int32_t *Src = Tiled ? TSrc.data() : ESrc;
-  const int32_t *Dst = Tiled ? TDst.data() : EDst;
+  const int32_t *Src = Tiled ? TSrc.data() : G.Src.data();
+  const int32_t *Dst = Tiled ? TDst.data() : G.Dst.data();
 
   // --- Executor ----------------------------------------------------------
   const int NumThreads = core::resolveThreads(O.Threads);
@@ -291,7 +274,7 @@ PageRankResult apps::CFV_VARIANT_NS::runPageRank(const graph::EdgeList &G,
   const std::vector<int64_t> Bounds =
       IsGrouped ? core::chunkBounds(NumGroups, NumThreads, 1)
       : (Tiled && !TileBounds.empty())
-          ? core::chunkBoundsFromTilesSharded(TileBounds, NumThreads)
+          ? core::chunkBoundsFromTiles(TileBounds, NumThreads)
           : core::chunkBounds(S.M, NumThreads, kLanes);
 
   // Privatization strategy for the Sum array (thread 0 always writes the
@@ -333,10 +316,6 @@ PageRankResult apps::CFV_VARIANT_NS::runPageRank(const graph::EdgeList &G,
   const auto EdgeBody = [&](int Tid) {
     const int64_t Lo = Bounds[Tid];
     const int64_t Hi = Bounds[Tid + 1];
-    // The nontiled versions stream the mapped COO directly; the tiled
-    // ones permuted it into RAM above, so there is nothing to advise.
-    if (UseMapped && !Tiled)
-      Mapped->adviseEdgeRange(Lo, Hi);
     const core::FloatSink Out =
         Tid == 0 ? core::FloatSink::dense(S.Sum.data())
         : Dense  ? core::FloatSink::dense(Parts[Tid - 1].data())

@@ -7,7 +7,6 @@
 #include "apps/spmv/Spmv.h"
 
 #include "core/Backends.h"
-#include "graph/MappedCsr.h"
 #include "core/InvecReduce.h"
 #include "core/ParallelEngine.h"
 #include "core/Variant.h"
@@ -52,36 +51,15 @@ const char *apps::versionName(SpmvVersion V) {
 
 namespace {
 
-/// The COO arrays one multiply streams, decoupled from their owner: the
-/// in-core EdgeList or the mmap'd COO sections of a MappedCsr.  Edge
-/// order is identical either way, so every kernel below is bit-identical
-/// across the two sources.
-struct CooView {
-  const int32_t *Src = nullptr;
-  const int32_t *Dst = nullptr;
-  const float *Wt = nullptr;
-  int64_t M = 0;
-  int32_t N = 0;
-
-  static CooView of(const graph::EdgeList &A) {
-    return {A.Src.data(), A.Dst.data(), A.Weight.data(), A.numEdges(),
-            A.NumNodes};
-  }
-  static CooView of(const graph::MappedCsr &G) {
-    return {G.edgeSrc(), G.edgeDst(), G.edgeWeight(), G.numEdges(),
-            G.numNodes()};
-  }
-};
-
-void multiplyCooSerial(const CooView &A, const float *X, int64_t Lo,
+void multiplyCooSerial(const graph::EdgeList &A, const float *X, int64_t Lo,
                        int64_t Hi, core::FloatSink Out) {
   for (int64_t E = Lo; E < Hi; ++E)
-    Out.add(A.Src[E], A.Wt[E] * X[A.Dst[E]]);
+    Out.add(A.Src[E], A.Weight[E] * X[A.Dst[E]]);
 }
 
 /// CSR rows are disjoint accumulation targets, so row chunks write the
 /// shared output directly -- no privatization needed at any thread count.
-void multiplyCsrSerial(const graph::CsrView &C, const float *X, int32_t RowLo,
+void multiplyCsrSerial(const graph::Csr &C, const float *X, int32_t RowLo,
                        int32_t RowHi, float *Y) {
   for (int32_t R = RowLo; R < RowHi; ++R) {
     float Acc = 0.0f;
@@ -91,11 +69,11 @@ void multiplyCsrSerial(const graph::CsrView &C, const float *X, int32_t RowLo,
   }
 }
 
-void multiplyCooMask(const CooView &A, const float *X, int64_t Lo,
+void multiplyCooMask(const graph::EdgeList &A, const float *X, int64_t Lo,
                      int64_t Hi, core::FloatSink Out, SimdUtilCounter &Util) {
-  const int32_t *Src = A.Src + Lo;
-  const int32_t *Dst = A.Dst + Lo;
-  const float *Wt = A.Wt + Lo;
+  const int32_t *Src = A.Src.data() + Lo;
+  const int32_t *Dst = A.Dst.data() + Lo;
+  const float *Wt = A.Weight.data() + Lo;
   auto LoadIdx = [&](IVec Pos, Mask16 Lanes) {
     return IVec::maskGather(IVec::zero(), Lanes, Src, Pos);
   };
@@ -109,7 +87,7 @@ void multiplyCooMask(const CooView &A, const float *X, int64_t Lo,
                                masking::AllLanesNeedUpdate{}, Commit, &Util);
 }
 
-void multiplyCooInvec(const CooView &A, const float *X, int64_t Lo,
+void multiplyCooInvec(const graph::EdgeList &A, const float *X, int64_t Lo,
                       int64_t Hi, core::FloatSink Out,
                       ConflictCounter &MeanD1) {
   for (int64_t E = Lo; E < Hi; E += kLanes) {
@@ -117,9 +95,9 @@ void multiplyCooInvec(const CooView &A, const float *X, int64_t Lo,
     const Mask16 Active =
         Left >= kLanes ? kAllLanes
                        : static_cast<Mask16>((1u << Left) - 1u);
-    const IVec Row = IVec::maskLoad(IVec::zero(), Active, A.Src + E);
-    const IVec Col = IVec::maskLoad(IVec::zero(), Active, A.Dst + E);
-    const FVec V = FVec::maskLoad(FVec::zero(), Active, A.Wt + E);
+    const IVec Row = IVec::maskLoad(IVec::zero(), Active, A.Src.data() + E);
+    const IVec Col = IVec::maskLoad(IVec::zero(), Active, A.Dst.data() + E);
+    const FVec V = FVec::maskLoad(FVec::zero(), Active, A.Weight.data() + E);
     const FVec Xc = FVec::maskGather(FVec::zero(), Active, X, Col);
     FVec Prod = V * Xc;
     const core::InvecResult R = core::invecReduce<simd::OpAdd>(Active, Row,
@@ -136,15 +114,15 @@ struct GroupedMatrix {
   int64_t NumGroups = 0;
 };
 
-GroupedMatrix groupMatrix(const CooView &A, int BlockBits) {
-  const inspector::TilingResult Tiling =
-      inspector::tileByDestination(A.Src, A.M, A.N, BlockBits);
+GroupedMatrix groupMatrix(const graph::EdgeList &A, int BlockBits) {
+  const inspector::TilingResult Tiling = inspector::tileByDestination(
+      A.Src.data(), A.numEdges(), A.NumNodes, BlockBits);
   inspector::GroupingResult G =
-      inspector::groupConflictFree(A.Src, A.N, Tiling, kLanes);
+      inspector::groupConflictFree(A.Src.data(), A.NumNodes, Tiling, kLanes);
   GroupedMatrix M;
-  M.Row = inspector::applyGrouping(G, A.Src, int32_t(0));
-  M.Col = inspector::applyGrouping(G, A.Dst, int32_t(0));
-  M.Val = inspector::applyGrouping(G, A.Wt, 0.0f);
+  M.Row = inspector::applyGrouping(G, A.Src.data(), int32_t(0));
+  M.Col = inspector::applyGrouping(G, A.Dst.data(), int32_t(0));
+  M.Val = inspector::applyGrouping(G, A.Weight.data(), 0.0f);
   M.GroupMask = std::move(G.GroupMask);
   M.NumGroups = G.NumGroups;
   return M;
@@ -171,39 +149,26 @@ SpmvResult apps::CFV_VARIANT_NS::runSpmv(const graph::EdgeList &A,
                                          const float *X, SpmvVersion V,
                                          int Repeats,
                                          const core::RunOptions &O) {
-  // Out-of-core substitution: a compatible MappedCsr replaces the
-  // EdgeList arrays wholesale (same edges, same order -- bit-identical),
-  // and also serves a hollow EdgeList (numEdges() == 0) whose edges live
-  // only in the mapping.
-  const graph::MappedCsr *Mapped = O.SharedMapped;
-  const bool UseMapped =
-      Mapped && Mapped->numNodes() == A.NumNodes && Mapped->isWeighted() &&
-      (A.numEdges() == 0 || A.numEdges() == Mapped->numEdges());
-  const CooView Coo = UseMapped ? CooView::of(*Mapped) : CooView::of(A);
-  assert((Coo.Wt || Coo.M == 0) &&
-         "SpMV needs matrix values on the edge list");
+  assert(A.isWeighted() && "SpMV needs matrix values on the edge list");
   SpmvResult R;
-  R.Y.assign(Coo.N, 0.0f);
+  R.Y.assign(A.NumNodes, 0.0f);
   const int NumThreads = core::resolveThreads(O.Threads);
   std::vector<SimdUtilCounter> Utils(NumThreads);
   std::vector<ConflictCounter> D1s(NumThreads);
 
   graph::Csr LocalCsr;
-  graph::CsrView CsrV;
+  const graph::Csr *CsrPtr = nullptr;
   GroupedMatrix M;
   if (V == SpmvVersion::CsrSerial) {
     WallTimer P;
     // Reuse a compatible precomputed CSR (PreparedGraph through the
-    // cfv::run facade), or the mapped file's CSR sections, instead of
-    // rebuilding per run.
-    if (UseMapped) {
-      CsrV = Mapped->csrView();
-    } else if (O.SharedCsr && O.SharedCsr->NumNodes == A.NumNodes &&
-               O.SharedCsr->numEdges() == A.numEdges()) {
-      CsrV = graph::CsrView::of(*O.SharedCsr);
+    // cfv::run facade) instead of rebuilding it per run.
+    if (O.SharedCsr && O.SharedCsr->NumNodes == A.NumNodes &&
+        O.SharedCsr->numEdges() == A.numEdges()) {
+      CsrPtr = O.SharedCsr;
     } else {
       LocalCsr = graph::buildCsr(A);
-      CsrV = graph::CsrView::of(LocalCsr);
+      CsrPtr = &LocalCsr;
     }
     R.PrepSeconds = P.seconds();
     obs::Tracer::instance().recordAt("spmv:csr_build", "inspector",
@@ -211,11 +176,7 @@ SpmvResult apps::CFV_VARIANT_NS::runSpmv(const graph::EdgeList &A,
                                      R.PrepSeconds);
   } else if (V == SpmvVersion::CooGrouping) {
     WallTimer P;
-    // Grouping materializes permuted copies, so the mapped COO is read
-    // once here; tell the window the whole range streams through.
-    if (UseMapped)
-      Mapped->adviseEdgeRange(0, Coo.M);
-    M = groupMatrix(Coo, /*BlockBits=*/16);
+    M = groupMatrix(A, /*BlockBits=*/16);
     R.PrepSeconds = P.seconds();
     obs::Tracer::instance().recordAt("spmv:group", "inspector",
                                      monotonicSeconds() - R.PrepSeconds,
@@ -225,30 +186,23 @@ SpmvResult apps::CFV_VARIANT_NS::runSpmv(const graph::EdgeList &A,
   // CSR needs no privatized replicas (rows are disjoint); the COO paths
   // accumulate by row index and privatize like every other app.
   const std::vector<int64_t> Bounds =
-      V == SpmvVersion::CsrSerial ? core::chunkBounds(Coo.N, NumThreads, 1)
+      V == SpmvVersion::CsrSerial ? core::chunkBounds(A.NumNodes, NumThreads, 1)
       : V == SpmvVersion::CooGrouping
           ? core::chunkBounds(M.NumGroups, NumThreads, 1)
-          : core::chunkBounds(Coo.M, NumThreads, kLanes);
+          : core::chunkBounds(A.numEdges(), NumThreads, kLanes);
   const bool NeedsSink = V != SpmvVersion::CsrSerial;
   const bool Dense = NumThreads <= 1 ||
-                     core::useDensePrivatization(Coo.N, sizeof(float),
-                                                 Coo.M, NumThreads);
+                     core::useDensePrivatization(A.NumNodes, sizeof(float),
+                                                 A.numEdges(), NumThreads);
   const int Replicas = NeedsSink && NumThreads > 1 ? NumThreads - 1 : 0;
   std::vector<AlignedVector<float>> Parts(Dense ? Replicas : 0);
   for (auto &P : Parts)
-    P.assign(Coo.N, 0.0f);
+    P.assign(A.NumNodes, 0.0f);
   std::vector<core::SpillListF> Spills(Dense ? 0 : Replicas);
   core::ParallelEngine &Engine = core::ParallelEngine::instance();
 
   const auto Body = [&](int Tid) {
     const int64_t Lo = Bounds[Tid], Hi = Bounds[Tid + 1];
-    // Prefetch the mapped ranges this chunk streams (advisory only).
-    if (UseMapped) {
-      if (V == SpmvVersion::CsrSerial)
-        Mapped->adviseCsrRange(CsrV.RowBegin[Lo], CsrV.RowBegin[Hi]);
-      else if (V != SpmvVersion::CooGrouping)
-        Mapped->adviseEdgeRange(Lo, Hi);
-    }
     // CSR has no replicas (NeedsSink false): every row chunk writes Y.
     const core::FloatSink Out =
         Tid == 0 || !NeedsSink ? core::FloatSink::dense(R.Y.data())
@@ -256,17 +210,17 @@ SpmvResult apps::CFV_VARIANT_NS::runSpmv(const graph::EdgeList &A,
                 : core::FloatSink::spill(&Spills[Tid - 1]);
     switch (V) {
     case SpmvVersion::CooSerial:
-      multiplyCooSerial(Coo, X, Lo, Hi, Out);
+      multiplyCooSerial(A, X, Lo, Hi, Out);
       break;
     case SpmvVersion::CsrSerial:
-      multiplyCsrSerial(CsrV, X, static_cast<int32_t>(Lo),
+      multiplyCsrSerial(*CsrPtr, X, static_cast<int32_t>(Lo),
                         static_cast<int32_t>(Hi), R.Y.data());
       break;
     case SpmvVersion::CooMask:
-      multiplyCooMask(Coo, X, Lo, Hi, Out, Utils[Tid]);
+      multiplyCooMask(A, X, Lo, Hi, Out, Utils[Tid]);
       break;
     case SpmvVersion::CooInvec:
-      multiplyCooInvec(Coo, X, Lo, Hi, Out, D1s[Tid]);
+      multiplyCooInvec(A, X, Lo, Hi, Out, D1s[Tid]);
       break;
     case SpmvVersion::CooGrouping:
       multiplyGrouped(M, X, Lo, Hi, Out);
@@ -280,7 +234,7 @@ SpmvResult apps::CFV_VARIANT_NS::runSpmv(const graph::EdgeList &A,
     if (!NeedsSink)
       continue;
     if (Dense) {
-      core::mergeTreeAdd(R.Y.data(), Parts, Coo.N);
+      core::mergeTreeAdd(R.Y.data(), Parts, A.NumNodes);
     } else {
       for (auto &L : Spills) {
         core::applySpillAdd(L, R.Y.data());

@@ -7,17 +7,13 @@
 #include "core/Api.h"
 
 #include "core/ParallelEngine.h"
-#include "graph/MappedCsr.h"
 #include "graph/Prepared.h"
-#include "numa/Topology.h"
 #include "obs/Kernel.h"
 #include "obs/Trace.h"
 #include "util/AlignedAlloc.h"
 #include "util/Timer.h"
 
 #include <cmath>
-#include <memory>
-#include <optional>
 #include <utility>
 
 using namespace cfv;
@@ -39,25 +35,6 @@ Status badVersion(AppId App, AppVersion V) {
                  appIdName(App) + "'");
 }
 
-/// Whether \p R's out-of-core backing is compatible with its graph: same
-/// node count, matching or hollow edge list, and weights where the app
-/// needs them -- the same condition the apps apply before substituting
-/// the mapped pointers.
-bool mappedCompatible(const AppRequest &R, bool NeedsWeights) {
-  return R.Mapped && R.Graph && R.Mapped->numNodes() == R.Graph->NumNodes &&
-         (R.Graph->numEdges() == 0 ||
-          R.Graph->numEdges() == R.Mapped->numEdges()) &&
-         (!NeedsWeights || R.Mapped->isWeighted());
-}
-
-/// Edge count of one full pass: the EdgeList's, or the mapped backing's
-/// when the EdgeList is hollow.
-int64_t effectiveEdges(const AppRequest &R, bool NeedsWeights) {
-  if (R.Graph->numEdges() > 0)
-    return R.Graph->numEdges();
-  return mappedCompatible(R, NeedsWeights) ? R.Mapped->numEdges() : 0;
-}
-
 /// Checks the graph input shared by the graph-consuming apps.
 Status checkGraph(const AppRequest &R, bool NeedsWeights) {
   if (!R.Graph)
@@ -65,10 +42,8 @@ Status checkGraph(const AppRequest &R, bool NeedsWeights) {
                    " requires AppRequest::Graph");
   if (R.Graph->NumNodes <= 0)
     return invalid("graph has no vertices");
-  // An edgeless graph vacuously satisfies the weight requirement, and a
-  // weighted mapped backing satisfies it on the graph's behalf.
-  if (NeedsWeights && R.Graph->numEdges() > 0 && !R.Graph->isWeighted() &&
-      !mappedCompatible(R, NeedsWeights))
+  // An edgeless graph vacuously satisfies the weight requirement.
+  if (NeedsWeights && R.Graph->numEdges() > 0 && !R.Graph->isWeighted())
     return invalid(std::string(appIdName(R.App)) +
                    " requires edge weights on the graph");
   return Status();
@@ -388,36 +363,6 @@ Expected<AppResult> cfv::run(const AppRequest &Request) {
     ArtifactSeconds = ArtifactTimer.seconds();
   }
 
-  // Out-of-core wiring: when a byte budget is set (CFV_MAP_BYTES) and the
-  // app can stream a mapped backing, materialize the prepared dataset's
-  // CFVM artifact and hand it to the app.  A failed write/map simply
-  // leaves R.Mapped null -- the in-core path is always a valid fallback.
-  std::shared_ptr<const graph::MappedCsr> MappedKeep;
-  const bool MappedCapable =
-      R.App == AppId::PageRank || R.App == AppId::Sssp ||
-      R.App == AppId::Sswp || R.App == AppId::Wcc || R.App == AppId::Bfs ||
-      R.App == AppId::Spmv;
-  if (!R.Mapped && R.Prepared && MappedCapable &&
-      graph::mapBytesBudget() > 0) {
-    WallTimer MapTimer;
-    MappedKeep = R.Prepared->mappedCsr();
-    R.Mapped = MappedKeep.get();
-    ArtifactSeconds += MapTimer.seconds();
-  }
-  R.Options.SharedMapped = R.Mapped;
-
-  // Per-run NUMA override: a thread-local scoped mode, never a mutation
-  // of process-global state.  The parallel engine resolves its shard
-  // plan on this thread, so the override is visible exactly for the
-  // duration of this run.
-  std::optional<numa::ScopedMode> NumaGuard;
-  if (R.Options.Numa != core::NumaChoice::Env)
-    NumaGuard.emplace(R.Options.Numa == core::NumaChoice::Off
-                          ? numa::Mode::Off
-                      : R.Options.Numa == core::NumaChoice::Interleave
-                          ? numa::Mode::Interleave
-                          : numa::Mode::Auto);
-
   // Resolve the backend without touching process-global dispatch state:
   // an explicit choice goes through dispatchFor (which degrades tier by
   // tier when the requested ISA cannot run), Auto through the cached
@@ -458,9 +403,8 @@ Expected<AppResult> cfv::run(const AppRequest &Request) {
     Res.D1Hist = PR.D1Hist;
     Res.UtilHist = PR.UtilHist;
     Res.TimedOut = PR.TimedOut;
-    Res.UsedMappedCsr = mappedCompatible(R, /*NeedsWeights=*/false);
-    Res.EdgesProcessed = static_cast<int64_t>(PR.Iterations) *
-                         effectiveEdges(R, /*NeedsWeights=*/false);
+    Res.EdgesProcessed =
+        static_cast<int64_t>(PR.Iterations) * R.Graph->numEdges();
     break;
   }
   case AppId::PageRank64: {
@@ -509,7 +453,6 @@ Expected<AppResult> cfv::run(const AppRequest &Request) {
     Res.UtilHist = FR.UtilHist;
     Res.TimedOut = FR.TimedOut;
     Res.EdgesProcessed = FR.EdgesProcessed;
-    Res.UsedMappedCsr = mappedCompatible(R, NeedsWeights);
     break;
   }
   case AppId::Moldyn: {
@@ -602,9 +545,8 @@ Expected<AppResult> cfv::run(const AppRequest &Request) {
     Res.MeanD1 = SR.MeanD1;
     Res.D1Hist = SR.D1Hist;
     Res.UtilHist = SR.UtilHist;
-    Res.UsedMappedCsr = mappedCompatible(R, /*NeedsWeights=*/true);
-    Res.EdgesProcessed = static_cast<int64_t>(Repeats) *
-                         effectiveEdges(R, /*NeedsWeights=*/true);
+    Res.EdgesProcessed =
+        static_cast<int64_t>(Repeats) * R.Graph->numEdges();
     break;
   }
   case AppId::Mesh: {
@@ -637,11 +579,6 @@ Expected<AppResult> cfv::run(const AppRequest &Request) {
   }
   }
   Res.PrepSeconds += ArtifactSeconds;
-  // Report the shard plan the engine used (the NumaGuard override is
-  // still live here, so this resolves exactly what the run saw).
-  if (const std::shared_ptr<const numa::ShardPlan> Plan =
-          numa::currentPlan(Res.Threads))
-    Res.NumaNodes = Plan->Nodes;
 
   // One registry flush per run: counters, phase timings, and the merged
   // kernel distributions, labeled by app.

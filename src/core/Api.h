@@ -126,7 +126,6 @@ namespace cfv {
 
 namespace graph {
 class PreparedGraph; // graph/Prepared.h
-class MappedCsr;     // graph/MappedCsr.h
 }
 
 /// The nine applications of the evaluation (frontier-based graph
@@ -207,12 +206,6 @@ struct AppRequest {
   /// serving layer, a shared_ptr from service::DatasetCache) must keep it
   /// alive for the duration of the run.
   const graph::PreparedGraph *Prepared = nullptr;
-  /// Out-of-core backing for the graph apps (graph/MappedCsr.h): when
-  /// set, apps stream edges from the mapping instead of the EdgeList
-  /// arrays (which may then be hollow -- numEdges() == 0).  Usually
-  /// wired automatically from Prepared when CFV_MAP_BYTES > 0; set it
-  /// explicitly to force out-of-core execution.  Borrowed, never owned.
-  const graph::MappedCsr *Mapped = nullptr;
   /// Source vertex for the frontier apps.
   int32_t Source = 0;
 
@@ -270,11 +263,6 @@ struct AppResult {
   /// compiled out; the run facade flushes them into the metrics registry.
   LaneHistogram D1Hist;
   LaneHistogram UtilHist;
-  /// NUMA nodes the sharded engine planned for (1 = flat execution:
-  /// CFV_NUMA=off, a single-node topology, or a serial run).
-  int NumaNodes = 1;
-  /// Whether the run streamed its edges from an out-of-core MappedCsr.
-  bool UsedMappedCsr = false;
 
   /// PageRank ranks, frontier values, Spmv y, Mesh final state.
   AlignedVector<float> Values;

@@ -67,21 +67,6 @@ std::vector<int64_t> chunkBounds(int64_t N, int Threads, int64_t Align) {
   return Bounds;
 }
 
-std::vector<int64_t>
-chunkBoundsFromTilesSharded(const std::vector<int64_t> &TileBegin,
-                            int Threads) {
-  if (Threads > 1) {
-    if (const std::shared_ptr<const numa::ShardPlan> Plan =
-            numa::currentPlan(Threads)) {
-      std::vector<int64_t> Bounds =
-          numa::shardedBoundsFromTiles(TileBegin, *Plan);
-      numa::recordShardMetrics(*Plan, Bounds);
-      return Bounds;
-    }
-  }
-  return chunkBoundsFromTiles(TileBegin, Threads);
-}
-
 std::vector<int64_t> chunkBoundsFromTiles(const std::vector<int64_t> &TileBegin,
                                           int Threads) {
   assert(Threads >= 1 && !TileBegin.empty());
@@ -157,14 +142,8 @@ void ParallelEngine::ensureWorkers(int Needed) {
 
 void ParallelEngine::workerLoop(int Slot, uint64_t StartGen) {
   uint64_t SeenGen = StartGen;
-  // CPU this worker is currently pinned to (-1 = free-floating); only
-  // re-pins when the active plan's assignment differs, so back-to-back
-  // runs under one topology pay one syscall total.
-  int PinnedCpu = -1;
   for (;;) {
     const std::function<void(int)> *MyJob = nullptr;
-    int MyThreads = 0;
-    std::shared_ptr<const numa::ShardPlan> MyPlan;
     {
       std::unique_lock<std::mutex> Lock(Mu);
       CvJob.wait(Lock, [&] { return Quit || Generation != SeenGen; });
@@ -174,23 +153,7 @@ void ParallelEngine::workerLoop(int Slot, uint64_t StartGen) {
       if (Slot + 1 >= JobThreads)
         continue; // job does not need this worker
       MyJob = Job;
-      MyThreads = JobThreads;
-      MyPlan = ActivePlan;
     }
-    const int WantCpu = MyPlan && Slot + 1 < MyPlan->Threads
-                            ? MyPlan->CpuOfWorker[Slot + 1]
-                            : -1;
-    if (WantCpu != PinnedCpu) {
-      if (WantCpu >= 0) {
-        const bool Ok = numa::pinThreadToCpu(WantCpu);
-        numa::notePin(Ok);
-        PinnedCpu = Ok ? WantCpu : -1;
-      } else {
-        numa::unpinThread();
-        PinnedCpu = -1;
-      }
-    }
-    (void)MyThreads;
     InParallelRegion = true;
     (*MyJob)(Slot + 1);
     InParallelRegion = false;
@@ -223,17 +186,11 @@ void ParallelEngine::run(int Threads, const std::function<void(int)> &Body) {
   }
   std::lock_guard<std::mutex> RunLock(RunMu);
   ensureWorkers(Threads - 1);
-  // Resolve the NUMA shard plan on the caller (the thread holding any
-  // per-run ScopedMode override); workers pick it up with the job.  The
-  // caller itself (worker 0) is never pinned -- the engine must not
-  // perturb its caller's affinity.
-  std::shared_ptr<const numa::ShardPlan> Plan = numa::currentPlan(Threads);
   {
     std::lock_guard<std::mutex> Lock(Mu);
     Job = &Body;
     JobThreads = Threads;
     Remaining = Threads - 1;
-    ActivePlan = std::move(Plan);
     ++Generation;
   }
   CvJob.notify_all();
@@ -245,7 +202,6 @@ void ParallelEngine::run(int Threads, const std::function<void(int)> &Body) {
     CvDone.wait(Lock, [&] { return Remaining == 0; });
     Job = nullptr;
     JobThreads = 0;
-    ActivePlan = nullptr;
   }
 }
 

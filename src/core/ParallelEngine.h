@@ -50,12 +50,10 @@
 #include <vector>
 
 #include "core/InvecReduce.h"
-#include "numa/Topology.h"
 #include "obs/Trace.h"
 #include "simd/Backend.h"
 #include "simd/Ops.h"
 #include "util/AlignedAlloc.h"
-#include "util/Timer.h"
 
 namespace cfv {
 namespace core {
@@ -92,16 +90,6 @@ std::vector<int64_t> chunkBounds(int64_t N, int Threads, int64_t Align);
 /// \p TileBegin is TilingResult::TileBegin (numTiles() + 1 entries).
 std::vector<int64_t> chunkBoundsFromTiles(const std::vector<int64_t> &TileBegin,
                                           int Threads);
-
-/// Topology-aware variant: when a NUMA shard plan is active
-/// (numa::currentPlan), tiles are first sharded across nodes
-/// proportionally to each node's worker count and then split across the
-/// node's workers, so a node's workers walk one contiguous, node-local
-/// region; otherwise identical to chunkBoundsFromTiles.  The tiled apps
-/// chunk through this entry point.
-std::vector<int64_t>
-chunkBoundsFromTilesSharded(const std::vector<int64_t> &TileBegin,
-                            int Threads);
 
 //===----------------------------------------------------------------------===//
 // Privatized accumulator targets
@@ -230,74 +218,11 @@ private:
   int Remaining = 0;
   uint64_t Generation = 0;
   bool Quit = false;
-  /// NUMA shard plan of the job being executed (nullptr = flat).  Workers
-  /// read it when they pick up the job and pin/unpin themselves to their
-  /// assigned CPU; pin failures are tolerated (restricted containers).
-  std::shared_ptr<const numa::ShardPlan> ActivePlan;
 };
 
 //===----------------------------------------------------------------------===//
 // Deterministic tree merge
 //===----------------------------------------------------------------------===//
-
-/// Two-level variant under an active NUMA shard plan: the fixed-pairing
-/// stride-doubling tree runs *within* each node's replica list (replica
-/// i belongs to worker i + 1, so a node's replicas stay node-local),
-/// then the per-node heads fold into \p Base serially in node order --
-/// the single deterministic cross-node pass, timed and accounted as the
-/// remote-access estimate.  The pairing is still a pure function of
-/// (thread count, plan), so results stay run-to-run deterministic; for
-/// the tile-sharded apps every cross-worker add is an exact zero (each
-/// destination tile is owned by one worker), so the merged sum is
-/// bit-identical to serial at any topology.
-template <typename T>
-void mergeTreeAddTwoLevel(T *Base, std::vector<AlignedVector<T>> &Parts,
-                          int64_t N, const numa::ShardPlan &Plan) {
-  obs::Span MergeSpan("engine:merge", "merge");
-  const auto Combine = [&Parts, N](int A, int B) {
-    T *X = Parts[A].data();
-    T *Y = Parts[B].data();
-    for (int64_t J = 0; J < N; ++J) {
-      X[J] += Y[J];
-      Y[J] = T(0);
-    }
-  };
-  std::vector<int> Heads; // one surviving replica per node, node order
-  for (int Node = 0; Node < Plan.Nodes; ++Node) {
-    std::vector<int> Replicas;
-    for (const int W : Plan.WorkersOfNode[Node])
-      if (W >= 1 && W - 1 < static_cast<int>(Parts.size()))
-        Replicas.push_back(W - 1);
-    if (Replicas.empty())
-      continue;
-    const int R = static_cast<int>(Replicas.size());
-    for (int Stride = 1; Stride < R; Stride *= 2) {
-      std::vector<std::pair<int, int>> Pairs;
-      for (int I = 0; I + Stride < R; I += 2 * Stride)
-        Pairs.emplace_back(Replicas[I], Replicas[I + Stride]);
-      if (Pairs.size() > 1 && N >= 4096) {
-        ParallelEngine::instance().run(
-            static_cast<int>(Pairs.size()),
-            [&](int K) { Combine(Pairs[K].first, Pairs[K].second); });
-      } else {
-        for (const auto &[A, B] : Pairs)
-          Combine(A, B);
-      }
-    }
-    Heads.push_back(Replicas[0]);
-  }
-  WallTimer Cross;
-  for (const int H : Heads) {
-    T *X = Parts[H].data();
-    for (int64_t J = 0; J < N; ++J) {
-      Base[J] += X[J];
-      X[J] = T(0);
-    }
-  }
-  numa::noteCrossNodeMerge(Cross.seconds(),
-                           static_cast<int64_t>(Heads.size()) * N *
-                               static_cast<int64_t>(sizeof(T)));
-}
 
 /// Folds the dense replicas in \p Parts into \p Base with a fixed-pairing
 /// tree reduction and resets every replica to zero for reuse.  The
@@ -305,19 +230,12 @@ void mergeTreeAddTwoLevel(T *Base, std::vector<AlignedVector<T>> &Parts,
 /// how the pair combines are scheduled, so the result is bit-identical
 /// whether the rounds run serially or on the pool; thread-0 updates are
 /// already in Base, and Parts[i] holds thread i+1's partial sums, so the
-/// final fold appends the merged tree onto Base exactly once.  Under an
-/// active NUMA plan (CFV_NUMA, numa::currentPlan) the merge routes to
-/// the two-level intra-node/cross-node variant above.
+/// final fold appends the merged tree onto Base exactly once.
 template <typename T>
 void mergeTreeAdd(T *Base, std::vector<AlignedVector<T>> &Parts, int64_t N) {
   const int P = static_cast<int>(Parts.size());
   if (P == 0 || N == 0)
     return;
-  if (const std::shared_ptr<const numa::ShardPlan> Plan =
-          numa::currentPlan(P + 1)) {
-    mergeTreeAddTwoLevel(Base, Parts, N, *Plan);
-    return;
-  }
   obs::Span MergeSpan("engine:merge", "merge");
   const auto Combine = [&Parts, N](int A, int B) {
     T *X = Parts[A].data();

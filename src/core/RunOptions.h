@@ -31,7 +31,6 @@ struct TilingResult;
 }
 namespace graph {
 struct Csr;
-class MappedCsr;
 }
 
 namespace core {
@@ -47,11 +46,6 @@ enum class BackendChoice { Auto, Scalar, Avx2, Avx512 };
 /// Algorithm 1, Algorithm 2, or the paper's sampling policy that starts
 /// on Algorithm 1 and switches when the observed mean D1 exceeds 1.
 enum class InvecPolicy { Alg1, Alg2, Adaptive };
-
-/// NUMA-sharded execution request (src/numa/): Env defers to the
-/// process-wide CFV_NUMA knob; the other values override it per run
-/// (numa::ScopedMode inside the cfv::run facade).
-enum class NumaChoice { Env, Off, Auto, Interleave };
 
 /// Options common to every application run.
 struct RunOptions {
@@ -94,17 +88,6 @@ struct RunOptions {
   /// engine's expansion and SpMV's csr_serial version.
   const graph::Csr *SharedCsr = nullptr;
 
-  /// Out-of-core backing to stream edges from instead of the in-core
-  /// EdgeList arrays (borrowed; graph::PreparedGraph::mappedCsr memoizes
-  /// one per dataset).  Apps verify the node count matches and that the
-  /// edge count matches or the EdgeList is hollow (numEdges() == 0, the
-  /// fully out-of-core shape), substitute the mapped COO/CSR pointers,
-  /// and advise the residency window along their tile schedule.  Results
-  /// are bit-identical to the in-core path: same edges, same order.
-  const graph::MappedCsr *SharedMapped = nullptr;
-
-  /// NUMA-sharded execution request; see NumaChoice.
-  NumaChoice Numa = NumaChoice::Env;
 };
 
 /// Monotonic clock reading in seconds, the time base for

@@ -37,14 +37,9 @@ Csr graph::buildCsr(const EdgeList &E) {
 }
 
 AlignedVector<int32_t> graph::outDegrees(const EdgeList &E) {
-  return outDegrees(E.Src.data(), E.numEdges(), E.NumNodes);
-}
-
-AlignedVector<int32_t> graph::outDegrees(const int32_t *Src, int64_t NumEdges,
-                                         int32_t NumNodes) {
-  AlignedVector<int32_t> Deg(NumNodes, 0);
-  for (int64_t I = 0; I < NumEdges; ++I)
-    ++Deg[Src[I]];
+  AlignedVector<int32_t> Deg(E.NumNodes, 0);
+  for (int64_t I = 0, M = E.numEdges(); I < M; ++I)
+    ++Deg[E.Src[I]];
   return Deg;
 }
 

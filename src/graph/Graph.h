@@ -45,42 +45,12 @@ struct Csr {
   int64_t degree(int32_t V) const { return RowBegin[V + 1] - RowBegin[V]; }
 };
 
-/// Non-owning view of a CSR adjacency.  The frontier engine and the
-/// reference kernels walk this instead of a concrete Csr so the same
-/// code serves an in-core Csr and the mmap'd out-of-core backing
-/// (graph::MappedCsr) without copies.
-struct CsrView {
-  int32_t NumNodes = 0;
-  const int64_t *RowBegin = nullptr; // NumNodes + 1 offsets
-  const int32_t *Col = nullptr;
-  const float *Weight = nullptr; // nullptr when unweighted
-  int64_t NumEdges = 0;
-
-  static CsrView of(const Csr &C) {
-    CsrView V;
-    V.NumNodes = C.NumNodes;
-    V.RowBegin = C.RowBegin.data();
-    V.Col = C.Col.data();
-    V.Weight = C.Weight.empty() ? nullptr : C.Weight.data();
-    V.NumEdges = C.numEdges();
-    return V;
-  }
-
-  bool isWeighted() const { return Weight != nullptr; }
-  int64_t degree(int32_t V) const { return RowBegin[V + 1] - RowBegin[V]; }
-};
-
 /// Builds a CSR adjacency (by source) from an edge list.
 Csr buildCsr(const EdgeList &E);
 
 /// Out-degree of every vertex (the paper's nneighbor array; vertices
 /// without outgoing edges report 0).
 AlignedVector<int32_t> outDegrees(const EdgeList &E);
-
-/// Pointer form for edge arrays that do not live in an EdgeList (the
-/// mmap'd COO sections of a MappedCsr).
-AlignedVector<int32_t> outDegrees(const int32_t *Src, int64_t NumEdges,
-                                  int32_t NumNodes);
 
 /// Sorts the edges by destination (stable), the layout reduce_by_key
 /// requires for its "reduction on the columns of the sparse matrix"

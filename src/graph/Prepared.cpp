@@ -6,15 +6,7 @@
 
 #include "graph/Prepared.h"
 
-#include "obs/Metrics.h"
 #include "pattern/Classify.h"
-
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-
-#include <unistd.h>
 
 using namespace cfv;
 using namespace cfv::graph;
@@ -71,42 +63,6 @@ const inspector::TilingResult &PreparedGraph::tiling(int BlockBits) const {
     It = Tilings.emplace(BlockBits, std::move(T)).first;
   }
   return *It->second;
-}
-
-std::shared_ptr<const MappedCsr> PreparedGraph::mappedCsr() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (MappedTried)
-    return Mapped;
-  MappedTried = true;
-
-  const char *Dir = std::getenv("CFV_MAP_DIR");
-  std::string Base = Dir && *Dir ? Dir : "/tmp";
-  // Distinct name per process + dataset: concurrent services under one
-  // CFV_MAP_DIR must not clobber each other's backing files.
-  static std::atomic<uint64_t> Counter{0};
-  const std::string Path = Base + "/cfv_mapped_" +
-                           std::to_string(static_cast<long>(getpid())) + "_" +
-                           std::to_string(Counter.fetch_add(1)) + ".cfvm";
-
-  const Status W = MappedCsr::write(Path, Edges);
-  if (!W.ok())
-    return nullptr;
-  auto Opened = MappedCsr::open(Path);
-  // Unlink regardless of the open outcome: on success the mapping keeps
-  // the inode alive; on failure nothing should linger in CFV_MAP_DIR.
-  std::remove(Path.c_str());
-  if (!Opened.ok()) {
-    if (obs::enabled()) {
-      static obs::Counter &Fails = obs::MetricsRegistry::instance().counter(
-          "cfv_mapped_open_failures_total", "",
-          "Out-of-core CFVM map attempts that fell back to in-core");
-      Fails.inc();
-    }
-    return nullptr;
-  }
-  Mapped = Opened.value();
-  ArtifactBytes.fetch_add(Mapped->mappedBytes(), std::memory_order_relaxed);
-  return Mapped;
 }
 
 const pattern::PatternResult &PreparedGraph::streamPattern() const {

@@ -27,7 +27,6 @@
 #define CFV_GRAPH_PREPARED_H
 
 #include "graph/Graph.h"
-#include "graph/MappedCsr.h"
 #include "inspector/Tiling.h"
 #include "pattern/Pattern.h"
 
@@ -57,15 +56,6 @@ public:
   /// distinct block size; apps overwhelmingly use the default 16).
   const inspector::TilingResult &tiling(int BlockBits) const;
 
-  /// Memoized out-of-core backing (graph::MappedCsr): the edge list is
-  /// serialized once to a CFVM file under CFV_MAP_DIR (default /tmp),
-  /// mapped, and the file unlinked immediately -- the mapping keeps it
-  /// alive, and nothing leaks on crash.  Returns nullptr when the write
-  /// or map fails (callers stay on the in-core path); the failure is
-  /// memoized too, so a broken CFV_MAP_DIR costs one attempt per
-  /// dataset, not one per request.
-  std::shared_ptr<const MappedCsr> mappedCsr() const;
-
   /// Memoized pattern classification of the flat *source* stream
   /// (Edges.Src, the row stream SpMV's COO versions reduce into) in
   /// pseudo-tiles: pattern::classifyStream(Edges.Src, numEdges()).  A
@@ -93,8 +83,6 @@ private:
   mutable std::unique_ptr<AlignedVector<int32_t>> Degrees;
   mutable std::map<int, std::unique_ptr<inspector::TilingResult>> Tilings;
   mutable std::unique_ptr<pattern::PatternResult> StreamPattern;
-  mutable std::shared_ptr<const MappedCsr> Mapped;
-  mutable bool MappedTried = false;
   mutable std::atomic<int64_t> ArtifactBytes{0};
 };
 

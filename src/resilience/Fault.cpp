@@ -30,8 +30,6 @@ const char *pointName(Point P) {
     return "kernel.slow_tile";
   case Point::ServeConnDrop:
     return "serve.conn_drop";
-  case Point::IoMapFail:
-    return "io.map_fail";
   }
   return "unknown";
 }

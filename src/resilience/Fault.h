@@ -60,9 +60,8 @@ enum class Point : int {
   SchedWorkerStall,     ///< a scheduler worker stalls before its task
   KernelSlowTile,       ///< a kernel pass runs pathologically slowly
   ServeConnDrop,        ///< the TCP client vanishes mid-response
-  IoMapFail,            ///< mmap of the out-of-core CSR backing fails
 };
-inline constexpr int kNumPoints = 8;
+inline constexpr int kNumPoints = 7;
 
 /// "io.read_error", "cache.alloc_fail", ... (the CFV_FAULTS spelling).
 const char *pointName(Point P);

@@ -14,7 +14,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <map>
 #include <string>
@@ -123,26 +122,6 @@ Expected<ChaosStats> runChaos(const ChaosOptions &O) {
   // iteration count that actually ran), so two entries with equal
   // signatures MUST agree.
   std::map<std::string, double> Golden;
-
-  // Arm the out-of-core path for the whole run unless the caller chose a
-  // budget: every prepared dataset then takes the CFVM write/map route,
-  // so the io.map_fail rotation actually reaches MappedCsr::open, and
-  // the degradation contract -- a failed map falls back in-core with
-  // identical checksums -- is enforced by the golden comparison below.
-  // Set before any Service exists; setenv under live workers would race
-  // their getenv calls.
-  struct MapBytesGuard {
-    bool Armed = std::getenv("CFV_MAP_BYTES") == nullptr;
-    MapBytesGuard() {
-      if (Armed)
-        setenv("CFV_MAP_BYTES", "65536", 1);
-    }
-    ~MapBytesGuard() {
-      if (Armed)
-        unsetenv("CFV_MAP_BYTES");
-    }
-  } MapBytes;
-  (void)MapBytes;
 
   const double T0 = monotonicSeconds();
   const double Budget = O.Minutes * 60.0;

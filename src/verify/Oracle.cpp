@@ -5,9 +5,6 @@
 #include "core/Api.h"
 #include "core/Dispatch.h"
 #include "graph/Io.h"
-#include "graph/MappedCsr.h"
-#include "graph/Prepared.h"
-#include "numa/Topology.h"
 #include "pattern/Classify.h"
 #include "service/Json.h"
 #include "service/Service.h"
@@ -386,116 +383,6 @@ std::optional<OracleFailure> checkSystem(const Workload &W,
     }
   }
 
-  // Out-of-core leg, armed by CFV_MAP_BYTES like the production path it
-  // verifies: the same graph streamed from the CFVM backing must match
-  // the in-core serial reference bit-for-bit at one thread (identical
-  // edges in identical order) and within tolerance at two.
-  if (graph::mapBytesBudget() > 0) {
-    graph::PreparedGraph Prep{graph::EdgeList(G)};
-    const std::shared_ptr<const graph::MappedCsr> Mapped = Prep.mappedCsr();
-    if (Mapped) {
-      for (AppId App : {AppId::PageRank, AppId::Spmv}) {
-        for (int Threads : {1, 2}) {
-          // The contract is pointer substitution, so the reference is
-          // the SAME version, backend, and thread count run in-core:
-          // identical edges in identical order must mean bit-identical
-          // values, not merely tolerance-equal ones.
-          AppRequest Ref;
-          Ref.App = App;
-          Ref.Version = AppVersion::Invec;
-          Ref.Options.Threads = Threads;
-          Ref.Options.MaxIterations = App == AppId::PageRank ? 3 : 0;
-          Ref.Graph = &G;
-          Expected<AppResult> RefRes = cfv::run(Ref);
-          AppRequest R = Ref;
-          R.Mapped = Mapped.get();
-          Expected<AppResult> Res = cfv::run(R);
-          const std::string Tag =
-              std::string(appIdName(App)) + "/invec+mapped";
-          if (!RefRes || !Res)
-            return systemFailure(W, Tag, "mapped",
-                                 "mapped run rejected: " +
-                                     (!RefRes ? RefRes.status().message()
-                                              : Res.status().message()));
-          if (!Res->UsedMappedCsr)
-            return systemFailure(W, Tag, "mapped",
-                                 "run ignored the mapped backing");
-          if (Res->Values.size() != RefRes->Values.size())
-            return systemFailure(W, Tag, "mapped",
-                                 "mapped result size disagrees with the "
-                                 "in-core run");
-          for (size_t I = 0; I < Res->Values.size(); ++I) {
-            if (!systemValuesAgree(Res->Values[I], RefRes->Values[I],
-                                   /*Exact=*/true)) {
-              OracleFailure F = systemFailure(
-                  W, Tag, "mapped/t" + std::to_string(Threads),
-                  "mapped values disagree with the in-core run");
-              F.Slot = static_cast<int64_t>(I);
-              F.Want = RefRes->Values[I];
-              F.Got = Res->Values[I];
-              return F;
-            }
-          }
-        }
-      }
-    }
-  }
-
-  // NUMA-sharded leg under a synthetic 2-node topology: the node-major
-  // tile assignment and two-level merge must agree with the flat serial
-  // reference.  SSSP's frontier min is exact at any sharding; PageRank
-  // and SpMV get the float-add tolerance the threaded legs above use.
-  {
-    numa::Topology Topo;
-    Topo.NodeCpus = {{0}, {1}};
-    numa::setTopologyForTest(&Topo);
-    numa::ScopedMode Guard(numa::Mode::Auto);
-    for (const SysApp &A : Apps) {
-      AppRequest Ref;
-      Ref.App = A.App;
-      Ref.Version = AppVersion::Serial;
-      Ref.Options.Backend = core::BackendChoice::Scalar;
-      Ref.Options.Threads = 1;
-      Ref.Options.MaxIterations = A.Iters;
-      Ref.Options.Numa = core::NumaChoice::Off;
-      Ref.Graph = &G;
-      Ref.Source = 0;
-      Expected<AppResult> RefRes = cfv::run(Ref);
-      AppRequest R = Ref;
-      R.Version = A.Versions.front();
-      R.Options.Threads = 2;
-      R.Options.Numa = core::NumaChoice::Auto;
-      Expected<AppResult> Res = cfv::run(R);
-      const std::string Tag = std::string(appIdName(A.App)) + "/numa";
-      if (!RefRes || !Res) {
-        numa::setTopologyForTest(nullptr);
-        return systemFailure(W, Tag, "numa",
-                             "numa-sharded run rejected: " +
-                                 (!RefRes ? RefRes.status().message()
-                                          : Res.status().message()));
-      }
-      if (Res->Values.size() != RefRes->Values.size()) {
-        numa::setTopologyForTest(nullptr);
-        return systemFailure(W, Tag, "numa",
-                             "sharded result size disagrees with flat "
-                             "serial run");
-      }
-      for (size_t I = 0; I < Res->Values.size(); ++I) {
-        if (!systemValuesAgree(Res->Values[I], RefRes->Values[I],
-                               A.Exact)) {
-          numa::setTopologyForTest(nullptr);
-          OracleFailure F = systemFailure(
-              W, Tag, "numa/2node",
-              "sharded values disagree with the flat serial run");
-          F.Slot = static_cast<int64_t>(I);
-          F.Want = RefRes->Values[I];
-          F.Got = Res->Values[I];
-          return F;
-        }
-      }
-    }
-    numa::setTopologyForTest(nullptr);
-  }
   return std::nullopt;
 }
 

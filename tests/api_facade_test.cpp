@@ -16,7 +16,9 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 using namespace cfv;
 
@@ -264,6 +266,45 @@ TEST(RunFacade, ThreadsAreResolvedAndReported) {
   const Expected<AppResult> Res = run(R);
   ASSERT_TRUE(Res.ok());
   EXPECT_EQ(Res->Threads, 3);
+
+  // Four workers against the serial run, per each app's contract: min
+  // and label relaxations (SSSP, WCC, BFS) are exact under any merge
+  // pairing, float-add accumulations (PageRank, SpMV) agree up to
+  // reassociation.  A second four-worker run repeats bit for bit.
+  const struct {
+    AppId App;
+    int MaxIterations;
+    bool Exact;
+  } Cases[] = {
+      {AppId::PageRank, 3, false}, {AppId::Sssp, 0, true},
+      {AppId::Wcc, 0, true},       {AppId::Bfs, 0, true},
+      {AppId::Spmv, 1, false},
+  };
+  for (const auto &C : Cases) {
+    AppRequest Q = baseRequest(C.App);
+    Q.Options.MaxIterations = C.MaxIterations;
+    const Expected<AppResult> Serial = run(Q);
+    Q.Options.Threads = 4;
+    const Expected<AppResult> A = run(Q);
+    const Expected<AppResult> B = run(Q);
+    ASSERT_TRUE(Serial.ok() && A.ok() && B.ok()) << appIdName(C.App);
+    EXPECT_EQ(A->Threads, 4);
+    ASSERT_FALSE(Serial->Values.empty()) << appIdName(C.App);
+    ASSERT_EQ(A->Values.size(), Serial->Values.size()) << appIdName(C.App);
+    ASSERT_EQ(B->Values.size(), A->Values.size()) << appIdName(C.App);
+    for (std::size_t I = 0; I < A->Values.size(); ++I) {
+      const float Got = A->Values[I], Want = Serial->Values[I];
+      if (C.Exact || !std::isfinite(Want))
+        ASSERT_EQ(Got, Want) << appIdName(C.App) << " slot " << I;
+      else
+        ASSERT_NEAR(Got, Want,
+                    1e-4f *
+                        std::max({1.0f, std::fabs(Got), std::fabs(Want)}))
+            << appIdName(C.App) << " slot " << I;
+      ASSERT_EQ(std::memcmp(&A->Values[I], &B->Values[I], sizeof(float)), 0)
+          << appIdName(C.App) << " rerun slot " << I;
+    }
+  }
 }
 
 TEST(RunFacade, ExplicitBackendDoesNotMutateGlobalDispatch) {

@@ -6,17 +6,25 @@
 //
 // Drives the installed cfv_run binary (path injected as CFV_RUN_BIN by
 // CMake) in subprocesses: bad invocations must exit 2 with usage text,
-// bad inputs must exit nonzero with a structured error, and valid runs
-// under both --backend values must exit 0.
+// bad inputs must exit nonzero with a structured error, valid runs
+// under both --backend values must exit 0, and --json reports the same
+// checksum an in-process run computes.
 //
 //===----------------------------------------------------------------------===//
+
+#include "core/Api.h"
+#include "graph/Io.h"
+#include "util/Prng.h"
 
 #include "gtest/gtest.h"
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <sys/wait.h>
+
+using namespace cfv;
 
 // The CMake-level kill switch only defines CFV_OBS when turning it OFF;
 // default-on matches the headers so the observability expectations below
@@ -112,6 +120,47 @@ TEST(CfvRunCli, ThreadedAndJsonRunsPass) {
   EXPECT_EQ(runCli(Base + " --threads 0"), 0); // all hardware threads
   EXPECT_EQ(runCli(Base + " --threads 2 --json"), 0);
   EXPECT_EQ(runCli(Base, "CFV_THREADS=3"), 0);
+  std::remove(G.c_str());
+}
+
+TEST(CfvRunCli, JsonChecksumRoundTrips) {
+  // --json must print the checksum with enough digits to reproduce the
+  // double exactly: parse it back and compare with the same run done in
+  // process (scalar backend, one thread, the seed-7 input vector).
+  const std::string G = writeTinyGraph();
+  const std::string Cmd = std::string("\"") + CFV_RUN_BIN +
+                          "\" spmv --file " + G +
+                          " --iters 2 --threads 1 --backend scalar"
+                          " --seed 7 --json 2>/dev/null";
+  std::FILE *P = popen(Cmd.c_str(), "r");
+  ASSERT_NE(P, nullptr);
+  std::string Out;
+  char Buf[512];
+  while (std::fgets(Buf, sizeof(Buf), P))
+    Out += Buf;
+  ASSERT_EQ(pclose(P), 0) << Out;
+  const char *Key = "\"checksum\":";
+  const size_t At = Out.find(Key);
+  ASSERT_NE(At, std::string::npos) << Out;
+  const double Printed = std::strtod(Out.c_str() + At + std::strlen(Key),
+                                     nullptr);
+
+  Expected<graph::EdgeList> E = graph::readSnapEdgeList(G);
+  ASSERT_TRUE(E.ok());
+  Xoshiro256 Rng(7);
+  AlignedVector<float> X(E->NumNodes);
+  for (float &V : X)
+    V = Rng.nextFloat();
+  AppRequest R;
+  R.App = AppId::Spmv;
+  R.Graph = &*E;
+  R.X = X.data();
+  R.Options.Backend = core::BackendChoice::Scalar;
+  R.Options.Threads = 1;
+  R.Options.MaxIterations = 2;
+  const Expected<AppResult> Res = cfv::run(R);
+  ASSERT_TRUE(Res.ok());
+  EXPECT_EQ(Printed, resultChecksum(*Res)) << Out;
   std::remove(G.c_str());
 }
 

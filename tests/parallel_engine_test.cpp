@@ -405,7 +405,7 @@ TEST(ParallelApps, FrontierAppsMatchScalarReference) {
   const Inputs &In = Inputs::get();
   // Min/max reductions are exact regardless of merge order, so every
   // thread count must reproduce the reference values exactly.
-  for (const FrApp App : {FrApp::Sssp, FrApp::Sswp, FrApp::Wcc}) {
+  for (const FrApp App : {FrApp::Sssp, FrApp::Sswp, FrApp::Wcc, FrApp::Bfs}) {
     FrontierOptions Ref;
     Ref.Threads = 1;
     const FrontierResult Want =

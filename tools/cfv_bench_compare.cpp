@@ -46,10 +46,9 @@ namespace {
 /// Fields that identify a row rather than measure it.  The order here is
 /// the order they appear in the key, so keys are stable and readable.
 const char *const kKeyFields[] = {
-    "bench",   "name",     "app",     "version", "part",
-    "class",   "family",   "tile_class", "backend", "distribution",
-    "shedding", "mode",    "numa",    "nodes",   "map",     "clients",
-    "threads", "scale",    "n",
+    "bench",   "name",     "app",      "version",  "class",
+    "family",  "tile_class", "backend", "distribution", "shedding",
+    "mode",    "clients",  "threads",  "scale",    "n",
 };
 
 /// Metrics in gating priority order.  LowerIsBetter decides the

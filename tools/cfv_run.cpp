@@ -27,8 +27,6 @@
 #include "core/Dispatch.h"
 #include "core/ParallelEngine.h"
 #include "graph/Datasets.h"
-#include "graph/MappedCsr.h"
-#include "graph/Prepared.h"
 #include "graph/Io.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -43,7 +41,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <map>
 #include <string>
 
@@ -87,11 +84,6 @@ namespace {
       "  --threads <n>        worker threads for the parallel engine\n"
       "                       (n >= 1; 0 = all hardware threads; default:\n"
       "                       CFV_THREADS, else 1)\n"
-      "  --numa <m>           off | auto | interleave: NUMA-sharded tile\n"
-      "                       assignment, worker pinning, and the\n"
-      "                       two-level merge (default: CFV_NUMA, else\n"
-      "                       auto; single-node machines run flat either\n"
-      "                       way unless CFV_NUMA_TOPOLOGY fakes nodes)\n"
       "  --json               emit one JSON object instead of the report\n"
       "\n"
       "observability:\n"
@@ -115,12 +107,6 @@ namespace {
       "environment:\n"
       "  CFV_BACKEND=<b>      backend override (see --backend)\n"
       "  CFV_THREADS=<n>      worker thread default (see --threads)\n"
-      "  CFV_NUMA=<m>         NUMA-sharding default (see --numa)\n"
-      "  CFV_NUMA_TOPOLOGY=<spec>  synthetic topology, one cpulist per\n"
-      "                       node ('0-3;4-7')\n"
-      "  CFV_MAP_BYTES=<n>    out-of-core mmap budget: prepared datasets\n"
-      "                       stream edges from a CFVM backing file with\n"
-      "                       an n-byte residency window (0 = in-core)\n"
       "  CFV_VALIDATE=1       re-check every in-vector reduction batch\n"
       "                       against scalar-order semantics (slow)\n"
       "  CFV_SCALE=<x>        synthetic workload scale\n");
@@ -156,7 +142,6 @@ struct Options {
   int64_t Cardinality = 65536;
   uint64_t Seed = 0xCF5EEDULL;
   core::BackendChoice Backend = core::BackendChoice::Auto;
-  core::NumaChoice Numa = core::NumaChoice::Env;
   bool Json = false;
   std::string TraceFile; ///< empty = tracing stays off
   bool Metrics = false;
@@ -253,20 +238,6 @@ Options parseArgs(int Argc, char **Argv) {
         usage(2);
       }
       O.Threads = N == 0 ? core::hardwareThreads() : static_cast<int>(N);
-    } else if (Arg == "--numa") {
-      const std::string N = Value();
-      if (N == "off")
-        O.Numa = core::NumaChoice::Off;
-      else if (N == "auto")
-        O.Numa = core::NumaChoice::Auto;
-      else if (N == "interleave")
-        O.Numa = core::NumaChoice::Interleave;
-      else {
-        std::fprintf(stderr,
-                     "error: --numa needs off|auto|interleave, got '%s'\n",
-                     N.c_str());
-        usage(2);
-      }
     } else if (Arg == "--json")
       O.Json = true;
     else if (Arg == "--trace")
@@ -345,14 +316,12 @@ void printJson(const AppResult &R, double LoadSeconds) {
               "\"load_seconds\":%.6f,\"kernel_seconds\":%.6f,"
               "\"prep_seconds\":%.6f,"
               "\"simd_util\":%.4f,\"mean_d1\":%.4f,"
-              "\"edges_processed\":%lld,\"checksum\":%.8g,"
-              "\"numa_nodes\":%d,\"used_mapped_csr\":%s}\n",
+              "\"edges_processed\":%lld,\"checksum\":%.17g}\n",
               appIdName(R.App), R.VersionName.c_str(),
               core::backendName(R.Backend), R.Threads, R.Iterations,
               LoadSeconds, R.ComputeSeconds, R.PrepSeconds, R.SimdUtil,
               R.MeanD1, static_cast<long long>(R.EdgesProcessed),
-              resultChecksum(R), R.NumaNodes,
-              R.UsedMappedCsr ? "true" : "false");
+              resultChecksum(R));
 }
 
 void printReport(const AppResult &R) {
@@ -425,7 +394,6 @@ int main(int Argc, char **Argv) {
   R.Version = *Version;
   R.Options.Backend = O.Backend;
   R.Options.Threads = O.Threads;
-  R.Options.Numa = O.Numa;
   if (O.Iters > 0)
     R.Options.MaxIterations = O.Iters;
 
@@ -515,16 +483,6 @@ int main(int Argc, char **Argv) {
     R.Dt = 0.4f;
     break;
   }
-  }
-  // CFV_MAP_BYTES asks for the out-of-core path: wrap the loaded edge
-  // list in a PreparedGraph so the facade can serialize it to the CFVM
-  // backing and auto-wire the mapped request (core/Api.cpp).  The
-  // request then borrows the prepared copy instead of the moved-from G.
-  std::unique_ptr<graph::PreparedGraph> Prep;
-  if (R.Graph == &G && graph::mapBytesBudget() > 0) {
-    Prep = std::make_unique<graph::PreparedGraph>(std::move(G));
-    R.Graph = &Prep->edges();
-    R.Prepared = Prep.get();
   }
   const double LoadSeconds = LoadTimer.seconds();
   // The span carries the same number the report prints (no re-measuring).
